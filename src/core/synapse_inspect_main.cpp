@@ -132,12 +132,12 @@ int cmd_show(const ProfileStore& store, const std::string& command,
 
 int cmd_stats(const ProfileStore& store, const std::string& command,
               const std::vector<std::string>& tags) {
-  const auto profiles = store.find(command, tags);
-  if (profiles.empty()) {
+  const auto profiles = store.find_shared(command, tags);
+  if (profiles->empty()) {
     std::fprintf(stderr, "no profile for '%s'\n", command.c_str());
     return 1;
   }
-  std::printf("repetitions: %zu\n", profiles.size());
+  std::printf("repetitions: %zu\n", profiles->size());
   std::printf("%-36s %12s %12s %8s\n", "metric", "mean", "stddev",
               "ci99%%");
   for (const auto& [metric, s] : store.stats(command, tags)) {
@@ -148,7 +148,7 @@ int cmd_stats(const ProfileStore& store, const std::string& command,
 }
 
 /// --stats: the backend (by registry name), layout, and the read-cache
-/// counters accumulated by the queries this invocation ran.
+/// and decode counters accumulated by the queries this invocation ran.
 void print_store_stats(const ProfileStore& store) {
   const auto cache = store.cache_stats();
   std::printf("store stats:\n");
@@ -179,6 +179,8 @@ void print_store_stats(const ProfileStore& store) {
               static_cast<unsigned long long>(cache.misses));
   std::printf("  cache invalidations : %llu\n",
               static_cast<unsigned long long>(cache.invalidations));
+  std::printf("  profiles decoded    : %llu\n",
+              static_cast<unsigned long long>(cache.decoded));
   std::printf("  cache bytes         : %llu\n",
               static_cast<unsigned long long>(cache.bytes));
 }

@@ -6,6 +6,7 @@
 #include <dirent.h>
 
 #include <algorithm>
+#include <memory>
 
 namespace synapse::docstore {
 
@@ -144,11 +145,13 @@ std::vector<json::Value> Collection::all() const {
 
 Store::Store(const std::string& directory) : directory_(directory) {
   ::mkdir(directory.c_str(), 0755);  // EEXIST is fine
-  DIR* dir = ::opendir(directory.c_str());
+  // Closed on every exit: load_collection() throws on a corrupt file.
+  const std::unique_ptr<DIR, int (*)(DIR*)> dir(::opendir(directory.c_str()),
+                                                &::closedir);
   if (dir == nullptr) {
     throw sys::SystemError("opendir(" + directory + ")", errno);
   }
-  while (struct dirent* entry = ::readdir(dir)) {
+  while (struct dirent* entry = ::readdir(dir.get())) {
     const std::string name = entry->d_name;
     const std::string suffix = ".collection.json";
     if (name.size() > suffix.size() &&
@@ -157,7 +160,6 @@ Store::Store(const std::string& directory) : directory_(directory) {
                       directory + "/" + name);
     }
   }
-  ::closedir(dir);
 }
 
 void Store::load_collection(const std::string& name, const std::string& path) {

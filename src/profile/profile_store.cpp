@@ -55,95 +55,115 @@ struct ProfileStore::Shard {
   // In-shard LRU decoded-profile cache: find() results keyed by
   // command+tags, bounded by an entry count AND a decoded-byte budget.
   // Guarded by `mutex`; front of the list is most recently used. Each
-  // entry carries the backend's cache_stamp() at fill time, so writes
-  // from other processes invalidate stale entries (backends with a
-  // process-private view keep a constant stamp). Entries are immutable
-  // shared snapshots: find_shared() hands out a reference to the cached
-  // vector, and writers REPLACE entries rather than mutating them, so a
-  // reader's snapshot survives concurrent puts/removes/evictions.
+  // entry carries the backend's per-workload cache_stamp() at fill time,
+  // so writes from other processes are noticed (backends with a
+  // process-private view keep a constant stamp); in-process writes mark
+  // the entry stale. A stale or mismatched entry is not dropped but
+  // refreshed: its id -> profile map goes to StoreBackend::refresh(),
+  // which can reuse every unchanged decode. Snapshots are immutable and
+  // shared: find_shared() hands out the cached one, and a refresh
+  // REPLACES it, so a reader's snapshot survives later writes.
   struct CacheEntry {
     std::string key;
-    std::shared_ptr<const std::vector<Profile>> profiles;
+    std::shared_ptr<const ProfileSnapshot> snapshot;
+    DecodedProfiles by_id;  ///< the same profiles, keyed for refresh()
     uint64_t stamp = 0;
     size_t bytes = 0;  ///< decoded_bytes() sum at fill time
+    bool stale = false;
   };
   std::list<CacheEntry> lru;
   std::map<std::string, std::list<CacheEntry>::iterator> lru_index;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_invalidations = 0;
+  uint64_t decoded = 0;
   size_t cache_bytes = 0;  ///< sum of CacheEntry::bytes
 
-  static size_t entry_bytes(const std::vector<Profile>& profiles) {
-    size_t bytes = 0;
-    for (const auto& p : profiles) bytes += p.decoded_bytes();
-    return bytes;
+  /// Caller holds `mutex`. True when `key` has an entry that no write
+  /// of this process made stale: a hit if its stamp still matches.
+  bool cached_fresh(const std::string& key) const {
+    const auto it = lru_index.find(key);
+    return it != lru_index.end() && !it->second->stale;
   }
 
-  /// Caller holds `mutex`. `stamp` must match the entry's fill stamp;
-  /// a mismatched (stale) entry is dropped and counted as a miss.
-  std::shared_ptr<const std::vector<Profile>> cache_lookup(
-      const std::string& key, uint64_t stamp) {
+  /// Caller holds `mutex`. A fresh entry whose stamp matches `stamp` is a
+  /// hit (returned, `previous` untouched); anything else is a miss that
+  /// points `previous` at the entry's map when there is one to refresh
+  /// from. A null `stamp` validates nothing.
+  std::shared_ptr<const ProfileSnapshot> cache_lookup(
+      const std::string& key, const uint64_t* stamp,
+      const DecodedProfiles** previous) {
     const auto it = lru_index.find(key);
-    if (it == lru_index.end()) {
-      ++cache_misses;
-      return nullptr;
+    if (it != lru_index.end()) {
+      CacheEntry& entry = *it->second;
+      if (!entry.stale && stamp != nullptr) {
+        if (entry.stamp == *stamp) {
+          ++cache_hits;
+          lru.splice(lru.begin(), lru, it->second);
+          return entry.snapshot;
+        }
+        ++cache_invalidations;  // another process wrote
+      }
+      entry.stale = true;
+      *previous = &entry.by_id;
     }
-    if (it->second->stamp != stamp) {
-      cache_bytes -= it->second->bytes;
-      lru.erase(it->second);
-      lru_index.erase(it);
-      ++cache_invalidations;
-      ++cache_misses;
-      return nullptr;
-    }
-    lru.splice(lru.begin(), lru, it->second);
-    ++cache_hits;
-    return it->second->profiles;
+    ++cache_misses;
+    return nullptr;
   }
 
   /// Caller holds `mutex`. `max_bytes` is this shard's slice of the
   /// store's decoded-byte budget (0 = unbounded); an entry that alone
   /// exceeds it is not cached at all — a single oversize workload must
-  /// not wipe every other hot entry.
+  /// not wipe every other hot entry. Dropped entries move to `evicted`,
+  /// so the caller can free their profiles after unlocking.
   void cache_store(const std::string& key,
-                   std::shared_ptr<const std::vector<Profile>> profiles,
-                   uint64_t stamp, size_t capacity, size_t max_bytes) {
+                   std::shared_ptr<const ProfileSnapshot> snapshot,
+                   DecodedProfiles by_id, uint64_t stamp, size_t capacity,
+                   size_t max_bytes, std::list<CacheEntry>& evicted) {
     if (capacity == 0) return;
-    const size_t bytes = entry_bytes(*profiles);
+    size_t bytes = 0;
+    for (const auto& p : *snapshot) bytes += p->decoded_bytes();
+    const auto it = lru_index.find(key);
     if (max_bytes > 0 && bytes > max_bytes) {
-      cache_invalidate(key);  // don't leave a stale smaller snapshot
+      if (it != lru_index.end()) cache_erase(it, evicted);
       return;
     }
-    const auto it = lru_index.find(key);
     if (it != lru_index.end()) {
       cache_bytes -= it->second->bytes;
-      it->second->profiles = std::move(profiles);
+      it->second->snapshot = std::move(snapshot);
+      it->second->by_id = std::move(by_id);
       it->second->stamp = stamp;
       it->second->bytes = bytes;
-      cache_bytes += bytes;
+      it->second->stale = false;
       lru.splice(lru.begin(), lru, it->second);
     } else {
-      lru.push_front(CacheEntry{key, std::move(profiles), stamp, bytes});
+      lru.push_front(CacheEntry{key, std::move(snapshot), std::move(by_id),
+                                stamp, bytes, false});
       lru_index[key] = lru.begin();
-      cache_bytes += bytes;
     }
+    cache_bytes += bytes;
     while (lru.size() > capacity ||
            (max_bytes > 0 && cache_bytes > max_bytes)) {
-      cache_bytes -= lru.back().bytes;
-      lru_index.erase(lru.back().key);
-      lru.pop_back();
+      cache_erase(lru_index.find(lru.back().key), evicted);
     }
   }
 
-  /// Caller holds `mutex`.
-  void cache_invalidate(const std::string& key) {
+  /// Caller holds `mutex`: a write to the workload under `key` makes the
+  /// next lookup refresh it.
+  void cache_mark_stale(const std::string& key) {
     const auto it = lru_index.find(key);
-    if (it == lru_index.end()) return;
-    cache_bytes -= it->second->bytes;
-    lru.erase(it->second);
-    lru_index.erase(it);
+    if (it == lru_index.end() || it->second->stale) return;
+    it->second->stale = true;
     ++cache_invalidations;
+  }
+
+  /// Caller holds `mutex`.
+  void cache_erase(
+      std::map<std::string, std::list<CacheEntry>::iterator>::iterator it,
+      std::list<CacheEntry>& evicted) {
+    cache_bytes -= it->second->bytes;
+    evicted.splice(evicted.end(), lru, it->second);
+    lru_index.erase(it);
   }
 };
 
@@ -502,7 +522,7 @@ bool ProfileStore::put(const Profile& profile) {
   bool truncated;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.cache_invalidate(index_key(profile.command, tkey));
+    shard.cache_mark_stale(index_key(profile.command, tkey));
     truncated = shard.backend->put(profile, tkey);
   }
   note_puts(1);
@@ -562,7 +582,7 @@ size_t ProfileStore::put_many(const std::vector<Profile>& profiles,
     Shard* shard = groups[g].first;
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (const Pending& pending : *groups[g].second) {
-      shard->cache_invalidate(
+      shard->cache_mark_stale(
           index_key(pending.profile->command, pending.tkey));
       if (shard->backend->put(*pending.profile, pending.tkey)) {
         truncated.fetch_add(1);
@@ -581,7 +601,7 @@ size_t ProfileStore::remove(const std::string& command,
   size_t removed;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.cache_invalidate(index_key(command, tkey));
+    shard.cache_mark_stale(index_key(command, tkey));
     removed = shard.backend->remove(command, tkey);
   }
   // A removal mutates buffering backends like a put does: account it so
@@ -592,20 +612,7 @@ size_t ProfileStore::remove(const std::string& command,
 
 // --- reads -----------------------------------------------------------------
 
-std::vector<Profile> ProfileStore::read_from(const Shard& shard,
-                                             const std::string& command,
-                                             const std::string& tkey) const {
-  std::vector<Profile> out = shard.backend->read(command, tkey);
-  // Recorded-timestamp order; stable so equal timestamps keep backend
-  // (insertion) order.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Profile& a, const Profile& b) {
-                     return a.created_at < b.created_at;
-                   });
-  return out;
-}
-
-std::shared_ptr<const std::vector<Profile>> ProfileStore::find_shared(
+std::shared_ptr<const ProfileSnapshot> ProfileStore::find_shared(
     const std::string& command, const std::vector<std::string>& tags) const {
   const std::string tkey = tags_key(tags);
   // Point lookups route to the single shard that owns the key — no
@@ -613,42 +620,78 @@ std::shared_ptr<const std::vector<Profile>> ProfileStore::find_shared(
   Shard& shard = shard_for(command, tkey);
   const std::string key = index_key(command, tkey);
 
-  // Cache entries are validated against the backend's cross-process
-  // version stamp (for the files backend a readdir-sized cost, so only
-  // paid when caching is on); backends with a process-private view
-  // (memory, docstore snapshots) keep a constant stamp.
   const bool caching = options_.cache_entries_per_shard > 0;
-  const uint64_t stamp = caching ? shard.backend->cache_stamp() : 0;
   const size_t max_bytes =
       options_.cache_max_bytes == 0
           ? 0
           : std::max<size_t>(1, options_.cache_max_bytes / shards_.size());
 
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  std::unique_lock<std::mutex> lock(shard.mutex);
+  static const DecodedProfiles kNone;
+  const DecodedProfiles* previous = &kNone;
   if (caching) {
-    if (auto cached = shard.cache_lookup(key, stamp)) return cached;
+    uint64_t current = 0;
+    const bool validate = shard.cached_fresh(key);
+    if (validate) {
+      // A fresh entry is checked against the backend's cross-process
+      // stamp of this workload (for the files backend a readdir of the
+      // shard), taken outside the lock so lookups of other workloads in
+      // the shard do not queue behind it.
+      lock.unlock();
+      current = shard.backend->cache_stamp(command, tkey);
+      lock.lock();
+    }
+    if (auto cached = shard.cache_lookup(key, validate ? &current : nullptr,
+                                         &previous)) {
+      return cached;
+    }
   }
-  auto out = std::make_shared<const std::vector<Profile>>(
-      read_from(shard, command, tkey));
-  shard.cache_store(key, out, stamp, options_.cache_entries_per_shard,
-                    max_bytes);
+  // A stale or missing entry skips the stamp: refresh() reports the
+  // stamp of the state it read.
+  uint64_t stamp = 0;
+  DecodedProfiles by_id =
+      shard.backend->refresh(command, tkey, *previous, &stamp);
+  auto snapshot = std::make_shared<ProfileSnapshot>();
+  snapshot->reserve(by_id.size());
+  for (const auto& [id, profile] : by_id) {
+    const auto reused = previous->find(id);
+    if (reused == previous->end() || reused->second != profile) {
+      ++shard.decoded;
+    }
+    snapshot->push_back(profile);
+  }
+  // Recorded-timestamp order; stable so equal timestamps keep backend
+  // order.
+  std::stable_sort(snapshot->begin(), snapshot->end(),
+                   [](const auto& a, const auto& b) {
+                     return a->created_at < b->created_at;
+                   });
+  std::shared_ptr<const ProfileSnapshot> out = std::move(snapshot);
+  std::list<Shard::CacheEntry> evicted;
+  shard.cache_store(key, out, std::move(by_id), stamp,
+                    options_.cache_entries_per_shard, max_bytes, evicted);
+  // Free evicted decodes outside the lock: other lookups of the shard
+  // need not wait for thousands of deallocations.
+  lock.unlock();
   return out;
 }
 
 std::vector<Profile> ProfileStore::find(
     const std::string& command, const std::vector<std::string>& tags) const {
-  return *find_shared(command, tags);
+  const auto snapshot = find_shared(command, tags);
+  std::vector<Profile> out;
+  out.reserve(snapshot->size());
+  for (const auto& p : *snapshot) out.push_back(*p);
+  return out;
 }
 
 std::shared_ptr<const Profile> ProfileStore::find_latest_shared(
     const std::string& command, const std::vector<std::string>& tags) const {
-  auto all = find_shared(command, tags);
-  if (all->empty()) return nullptr;
   // find_shared() orders by created_at (stable), so the true latest
   // recording is at the back even when concurrent writers interleaved
-  // insertions. The aliasing constructor keeps the whole snapshot (and
-  // with it any mmap the profile decodes from) alive.
-  return std::shared_ptr<const Profile>(all, &all->back());
+  // insertions.
+  const auto all = find_shared(command, tags);
+  return all->empty() ? nullptr : all->back();
 }
 
 std::optional<Profile> ProfileStore::find_latest(
@@ -660,7 +703,7 @@ std::optional<Profile> ProfileStore::find_latest(
 
 std::map<std::string, MetricStats> ProfileStore::stats(
     const std::string& command, const std::vector<std::string>& tags) const {
-  return aggregate_totals(find(command, tags));
+  return aggregate_totals(*find_shared(command, tags));
 }
 
 // --- flushing --------------------------------------------------------------
@@ -800,6 +843,7 @@ ProfileStoreCacheStats ProfileStore::cache_stats() const {
     out.misses += shard->cache_misses;
     out.invalidations += shard->cache_invalidations;
     out.bytes += shard->cache_bytes;
+    out.decoded += shard->decoded;
   }
   return out;
 }
@@ -851,7 +895,7 @@ size_t ProfileStore::convert_all() {
         shard.backend->put(p, tkey);
         rewritten.fetch_add(1);
       }
-      shard.cache_invalidate(index_key(command, tkey));
+      shard.cache_mark_stale(index_key(command, tkey));
     }
     shard.backend->flush();
   });

@@ -96,10 +96,16 @@ struct ProfileStoreOptions {
 /// Aggregate read-cache counters across all shards.
 struct ProfileStoreCacheStats {
   uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t invalidations = 0;  ///< cache entries dropped by writes
+  uint64_t misses = 0;         ///< lookups that read the backend (refreshes too)
+  uint64_t invalidations = 0;  ///< cache entries made stale by writes
   uint64_t bytes = 0;          ///< decoded bytes currently cached
+  uint64_t decoded = 0;        ///< profiles decoded by store reads
 };
+
+/// One workload's stored repetitions ordered by created_at. The
+/// elements are shared between snapshots: a refresh after a write
+/// reuses every unchanged profile of the previous snapshot.
+using ProfileSnapshot = std::vector<std::shared_ptr<const Profile>>;
 
 class ProfileStore {
  public:
@@ -135,14 +141,14 @@ class ProfileStore {
   std::vector<Profile> find(const std::string& command,
                             const std::vector<std::string>& tags = {}) const;
 
-  /// find() without the copy-out: the returned vector is shared with
+  /// find() without the copy-out: the returned snapshot is shared with
   /// the store's decoded-profile cache, so a cache hit costs one
   /// refcount bump instead of re-decoding (or deep-copying) every
   /// profile. The snapshot is immutable and stays valid after
   /// concurrent writes/removals/evictions (they replace cache entries,
   /// never mutate them). Never null — an unknown workload yields an
-  /// empty vector.
-  std::shared_ptr<const std::vector<Profile>> find_shared(
+  /// empty snapshot.
+  std::shared_ptr<const ProfileSnapshot> find_shared(
       const std::string& command,
       const std::vector<std::string>& tags = {}) const;
 
@@ -153,7 +159,7 @@ class ProfileStore {
       const std::string& command,
       const std::vector<std::string>& tags = {}) const;
 
-  /// find_latest without the copy: an aliasing pointer into the shared
+  /// find_latest without the copy: the last element of the shared
   /// find_shared() snapshot (the hot replay path — repeated emulation
   /// of a hot profile skips decode AND copy). nullptr when the workload
   /// has no recordings.
@@ -161,7 +167,8 @@ class ProfileStore {
       const std::string& command,
       const std::vector<std::string>& tags = {}) const;
 
-  /// Aggregate statistics over all stored repetitions of a workload.
+  /// Aggregate statistics over all stored repetitions of a workload,
+  /// computed on the shared snapshot (no profile is copied).
   std::map<std::string, MetricStats> stats(
       const std::string& command,
       const std::vector<std::string>& tags = {}) const;
@@ -239,11 +246,6 @@ class ProfileStore {
 
   /// `tkey` is the profile's tags_key(), computed once by the caller.
   Shard& shard_for(const std::string& command, const std::string& tkey) const;
-  /// Backend read of one workload from an already-locked shard, ordered
-  /// by created_at.
-  std::vector<Profile> read_from(const Shard& shard,
-                                 const std::string& command,
-                                 const std::string& tkey) const;
   /// Run body(i) for i in [0, count) — on the store's task pool when it
   /// has one (options_.threads != 1), serially inline otherwise. Every
   /// cross-shard operation goes through here; bodies lock at most one

@@ -40,11 +40,16 @@ MetricStats compute_stats(const std::vector<double>& values) {
   return s;
 }
 
-std::map<std::string, MetricStats> aggregate_totals(
-    const std::vector<Profile>& profiles) {
+namespace {
+
+/// Metric name -> stats of its totals across `profiles`; `get` maps an
+/// element to its Profile.
+template <typename Profiles, typename Get>
+std::map<std::string, MetricStats> aggregate(const Profiles& profiles,
+                                             Get get) {
   std::map<std::string, std::vector<double>> columns;
-  for (const auto& p : profiles) {
-    for (const auto& [metric, value] : p.totals) {
+  for (const auto& element : profiles) {
+    for (const auto& [metric, value] : get(element).totals) {
       columns[metric].push_back(value);
     }
   }
@@ -53,6 +58,19 @@ std::map<std::string, MetricStats> aggregate_totals(
     out[metric] = compute_stats(values);
   }
   return out;
+}
+
+}  // namespace
+
+std::map<std::string, MetricStats> aggregate_totals(
+    const std::vector<Profile>& profiles) {
+  return aggregate(profiles, [](const Profile& p) -> const Profile& { return p; });
+}
+
+std::map<std::string, MetricStats> aggregate_totals(
+    const std::vector<std::shared_ptr<const Profile>>& profiles) {
+  return aggregate(profiles,
+                   [](const auto& p) -> const Profile& { return *p; });
 }
 
 double relative_diff(double a, double b) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,10 @@ double t_critical_99(size_t n);
 /// metric name -> stats across profiles.
 std::map<std::string, MetricStats> aggregate_totals(
     const std::vector<Profile>& profiles);
+
+/// aggregate_totals over shared profiles (a ProfileStore snapshot).
+std::map<std::string, MetricStats> aggregate_totals(
+    const std::vector<std::shared_ptr<const Profile>>& profiles);
 
 /// Relative difference |a-b| / b, the paper's "diff (%)" (times 100).
 double relative_diff(double a, double b);

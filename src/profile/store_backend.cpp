@@ -9,7 +9,9 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "docstore/docstore.hpp"
@@ -89,7 +91,6 @@ uint64_t fnv1a(const std::string& key) {
 
 namespace {
 
-using storedetail::file_exists;
 using storedetail::has_binary_profile_suffix;
 using storedetail::has_profile_suffix;
 using storedetail::sanitize;
@@ -205,8 +206,7 @@ class FilesBackend : public StoreBackend {
   }
 
   bool put(const Profile& profile, const std::string& tkey) override {
-    const std::string base = directory_ + "/" + sanitize(profile.command) +
-                             "." + sanitize(tkey) + ".";
+    const std::string prefix = workload_prefix(profile.command, tkey);
     // Write the full document to a temp name (which never matches the
     // profile-file read patterns), then claim the next free sequence
     // number with link().
@@ -219,9 +219,23 @@ class FilesBackend : public StoreBackend {
     }
     const char* suffix =
         binary ? storedetail::kBinarySuffix : storedetail::kProfileSuffix;
-    for (size_t seq = 0;; ++seq) {
-      const std::string path = base + std::to_string(seq) + suffix;
-      if (::link(tmp.c_str(), path.c_str()) == 0) break;
+    // Start probing at this workload's hint: one link() per put instead
+    // of one per stored repetition. Writers in other processes may have
+    // claimed the hinted number meanwhile; EEXIST moves on as before.
+    auto hint = next_seq_.find(prefix);
+    if (hint == next_seq_.end()) {
+      hint = next_seq_
+                 .emplace(prefix,
+                          first_unused_seq(profile.command, tkey, suffix))
+                 .first;
+    }
+    for (size_t& seq = hint->second;; ++seq) {
+      const std::string path = directory_ + "/" + prefix +
+                               std::to_string(seq) + suffix;
+      if (::link(tmp.c_str(), path.c_str()) == 0) {
+        ++seq;
+        break;
+      }
       if (errno != EEXIST) {
         const int err = errno;
         ::unlink(tmp.c_str());
@@ -236,14 +250,38 @@ class FilesBackend : public StoreBackend {
                             const std::string& tkey) const override {
     std::vector<Profile> out;
     json::Arena arena;
-    for (const auto& name : matching_files(command, tkey)) {
-      auto blob = load_profile_blob(directory_ + "/" + name,
-                                    has_binary_profile_suffix(name));
-      if (!blob) continue;  // racing remove()
-      Profile p = parse_profile_blob(std::move(blob), arena);
-      // Sanitization can collide; verify the real identity.
-      if (p.command == command && store_tags_key(p.tags) == tkey) {
-        out.push_back(std::move(p));
+    for (const auto& file : matching_files(command, tkey)) {
+      if (auto p = decode_file(file.name, command, tkey, arena)) {
+        out.push_back(std::move(*p));
+      }
+    }
+    return out;
+  }
+
+  /// Ids are file name + inode + removal epoch: stored files are
+  /// immutable, so an unchanged id is an unchanged profile and its
+  /// previous decode is reused. A file replaced under its name gets a
+  /// new inode; the epoch covers a remove-then-put that lands on a
+  /// reused inode under the same name.
+  DecodedProfiles refresh(const std::string& command, const std::string& tkey,
+                          const DecodedProfiles& previous,
+                          uint64_t* stamp) const override {
+    // List before reading the epoch: a remove()+put() whose new file the
+    // listing saw has already rewritten the epoch.
+    const std::vector<StoredFile> files = matching_files(command, tkey);
+    const uint64_t removals = removal_epoch();
+    *stamp = listing_stamp(files, removals);
+    const std::string epoch = "#" + std::to_string(removals);
+    DecodedProfiles out;
+    json::Arena arena;
+    for (const auto& file : files) {
+      std::string id = file.name + "#" + std::to_string(file.inode) + epoch;
+      const auto reused = previous.find(id);
+      if (reused != previous.end()) {
+        out.emplace(std::move(id), reused->second);
+      } else if (auto p = decode_file(file.name, command, tkey, arena)) {
+        out.emplace(std::move(id),
+                    std::make_shared<const Profile>(std::move(*p)));
       }
     }
     return out;
@@ -251,8 +289,11 @@ class FilesBackend : public StoreBackend {
 
   size_t remove(const std::string& command, const std::string& tkey) override {
     size_t removed = 0;
-    for (const auto& name : matching_files(command, tkey)) {
-      const std::string path = directory_ + "/" + name;
+    // The next put() of this workload rescans, so numbering restarts
+    // from the lowest free sequence as for a never-written workload.
+    next_seq_.erase(workload_prefix(command, tkey));
+    for (const auto& file : matching_files(command, tkey)) {
+      const std::string path = directory_ + "/" + file.name;
       try {
         const auto identity = read_identity(path);
         if (!identity) continue;
@@ -280,29 +321,16 @@ class FilesBackend : public StoreBackend {
     return storedetail::count_profile_files(directory_);
   }
 
-  /// Cross-process version stamp: directory mtime combined with the
-  /// profile-file count and the removal epoch. The count is monotone
-  /// under puts and every remove() rewrites the epoch, so even a
-  /// count-restoring remove+put pair inside one filesystem-timestamp
-  /// tick changes the stamp.
-  uint64_t cache_stamp() const override {
-    struct stat st {};
-    uint64_t stamp = 0;
-    if (::stat(directory_.c_str(), &st) == 0) {
-      stamp = static_cast<uint64_t>(st.st_mtim.tv_sec) * 1000000000ull +
-              static_cast<uint64_t>(st.st_mtim.tv_nsec);
-    }
-    const std::string epoch = directory_ + "/" + kEpochFile;
-    if (file_exists(epoch)) {
-      try {
-        stamp ^= storedetail::fnv1a(json::dump(json::load_file(epoch)));
-      } catch (const std::exception&) {
-        // Torn/unreadable epoch: fall back to mtime+count alone.
-      }
-    }
-    return stamp ^
-           (storedetail::count_profile_files(directory_) *
-            0x9e3779b97f4a7c15ull);
+  /// Cross-process version stamp of one workload: an order-independent
+  /// digest of its (file name, inode) pairs from one readdir, mixed
+  /// with the removal epoch. Puts to other workloads of the shard leave
+  /// it unchanged; a put adds a name, a file replaced under its name
+  /// changes an inode, and every remove() rewrites the epoch, so even a
+  /// count-restoring remove+put that reuses a freed inode is noticed.
+  uint64_t cache_stamp(const std::string& command,
+                       const std::string& tkey) const override {
+    const std::vector<StoredFile> files = matching_files(command, tkey);
+    return listing_stamp(files, removal_epoch());
   }
 
   json::Value meta() const override {
@@ -396,25 +424,104 @@ class FilesBackend : public StoreBackend {
     }
   }
 
-  std::vector<std::string> matching_files(const std::string& command,
-                                          const std::string& tkey) const {
-    std::vector<std::string> names;
+  /// File-name prefix of a workload's profile files; the sequence
+  /// number and the format suffix follow it.
+  static std::string workload_prefix(const std::string& command,
+                                     const std::string& tkey) {
+    return sanitize(command) + "." + sanitize(tkey) + ".";
+  }
+
+  struct StoredFile {
+    std::string name;
+    ino_t inode = 0;
+  };
+
+  /// Profile files named for (command, tkey), from one readdir of the
+  /// shard. Sanitization can collide, so callers that decode verify
+  /// the stored identity.
+  std::vector<StoredFile> matching_files(const std::string& command,
+                                         const std::string& tkey) const {
+    std::vector<StoredFile> files;
     DIR* dir = ::opendir(directory_.c_str());
-    if (dir == nullptr) return names;
-    const std::string prefix = sanitize(command) + "." + sanitize(tkey) + ".";
+    if (dir == nullptr) return files;
+    const std::string prefix = workload_prefix(command, tkey);
     while (struct dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name.rfind(prefix, 0) == 0 &&
-          (has_profile_suffix(name) || has_binary_profile_suffix(name))) {
-        names.push_back(name);
+      // Shards hold every workload routed to them: filter before
+      // allocating a name.
+      if (std::strncmp(entry->d_name, prefix.c_str(), prefix.size()) != 0) {
+        continue;
+      }
+      std::string name = entry->d_name;
+      if (has_profile_suffix(name) || has_binary_profile_suffix(name)) {
+        files.push_back(StoredFile{std::move(name), entry->d_ino});
       }
     }
     ::closedir(dir);
-    return names;
+    return files;
+  }
+
+  static uint64_t listing_stamp(const std::vector<StoredFile>& files,
+                                uint64_t removals) {
+    uint64_t digest = 0;
+    for (const auto& file : files) {
+      digest += storedetail::fnv1a(file.name) ^
+                (static_cast<uint64_t>(file.inode) * 0x9e3779b97f4a7c15ull);
+    }
+    return digest ^ removals;
+  }
+
+  /// One past the highest sequence number among the workload's files in
+  /// `suffix`'s format (0 for none): where a fresh put() starts probing.
+  size_t first_unused_seq(const std::string& command, const std::string& tkey,
+                          std::string_view suffix) const {
+    const size_t prefix_len = workload_prefix(command, tkey).size();
+    size_t next = 0;
+    for (const auto& file : matching_files(command, tkey)) {
+      const std::string_view name = file.name;
+      if (name.size() < prefix_len + suffix.size() ||
+          name.substr(name.size() - suffix.size()) != suffix) {
+        continue;
+      }
+      const std::string_view digits =
+          name.substr(prefix_len, name.size() - prefix_len - suffix.size());
+      if (digits.empty() || digits.size() > 18 ||
+          !std::all_of(digits.begin(), digits.end(), [](char c) {
+            return std::isdigit(static_cast<unsigned char>(c)) != 0;
+          })) {
+        continue;  // another workload whose name extends this prefix
+      }
+      next = std::max<size_t>(next, std::stoull(std::string(digits)) + 1);
+    }
+    return next;
+  }
+
+  /// Hash of the removal epoch token; 0 while the shard saw no remove().
+  uint64_t removal_epoch() const {
+    const auto token = sys::slurp_file(directory_ + "/" + kEpochFile);
+    return token ? storedetail::fnv1a(*token) : 0;
+  }
+
+  /// Decode one profile file; nullopt when it vanished (racing remove())
+  /// or holds another workload whose sanitized name collides.
+  std::optional<Profile> decode_file(const std::string& name,
+                                     const std::string& command,
+                                     const std::string& tkey,
+                                     json::Arena& arena) const {
+    auto blob = load_profile_blob(directory_ + "/" + name,
+                                  has_binary_profile_suffix(name));
+    if (!blob) return std::nullopt;
+    Profile p = parse_profile_blob(std::move(blob), arena);
+    if (p.command != command || store_tags_key(p.tags) != tkey) {
+      return std::nullopt;
+    }
+    return p;
   }
 
   std::string directory_;
   std::string format_;
+  /// Next sequence number put() tries per workload prefix; seeded by one
+  /// readdir on the workload's first put through this instance.
+  std::map<std::string, size_t> next_seq_;
 };
 
 }  // namespace
@@ -527,6 +634,25 @@ json::Value DocStoreShardBackend::meta() const {
   meta["directory"] = store_->directory();
   meta["format"] = format_;
   return json::Value(std::move(meta));
+}
+
+// --- default refresh ---------------------------------------------------------
+
+DecodedProfiles StoreBackend::refresh(const std::string& command,
+                                      const std::string& tkey,
+                                      const DecodedProfiles&,
+                                      uint64_t* stamp) const {
+  *stamp = cache_stamp(command, tkey);
+  std::vector<Profile> profiles = read(command, tkey);
+  DecodedProfiles out;
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    // Zero-padded read() positions keep map order equal to read() order.
+    char id[24];
+    std::snprintf(id, sizeof id, "%020zu", i);
+    out.emplace_hint(out.end(), id,
+                     std::make_shared<const Profile>(std::move(profiles[i])));
+  }
+  return out;
 }
 
 // --- key canonicalization ---------------------------------------------------

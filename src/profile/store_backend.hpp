@@ -68,6 +68,11 @@ struct StoredProfileEntry {
   size_t encoded_bytes = 0;   ///< size at rest (0 when not encoded)
 };
 
+/// Decoded profiles of one workload keyed by a backend-chosen id that
+/// names one stored copy (the files backend: file name + inode). Map
+/// order is the backend order ProfileStore keeps for created_at ties.
+using DecodedProfiles = std::map<std::string, std::shared_ptr<const Profile>>;
+
 class StoreBackend {
  public:
   virtual ~StoreBackend() = default;
@@ -97,11 +102,28 @@ class StoreBackend {
   /// destruction). Eager backends return false and never see the worker.
   virtual bool needs_flush() const { return false; }
 
-  /// Cross-process version stamp of the shard's data, used to invalidate
-  /// ProfileStore's read cache when OTHER processes write (in-process
-  /// writes invalidate explicitly). Backends whose view is
-  /// process-private may keep the constant default.
-  virtual uint64_t cache_stamp() const { return 0; }
+  /// read() for a refresh of a cached workload. `previous` is what the
+  /// last refresh of (command, tkey) returned; `*stamp` receives the
+  /// cache_stamp() of the stored state this read saw. A backend that
+  /// can tell unchanged stored copies apart returns their `previous`
+  /// entries as-is and decodes only new ones; ProfileStore counts every
+  /// returned profile not taken from `previous` as decoded. Default:
+  /// takes cache_stamp() first, then ignores `previous` and wraps
+  /// read(), keyed by read() position.
+  virtual DecodedProfiles refresh(const std::string& command,
+                                  const std::string& tkey,
+                                  const DecodedProfiles& previous,
+                                  uint64_t* stamp) const;
+
+  /// Cross-process version stamp of one workload's stored data, used to
+  /// revalidate ProfileStore's cached entry for (command, tkey) when
+  /// OTHER processes write (in-process writes mark the entry stale
+  /// directly). Backends whose view is process-private may keep the
+  /// constant default.
+  virtual uint64_t cache_stamp(const std::string& /*command*/,
+                               const std::string& /*tkey*/) const {
+    return 0;
+  }
 
   /// Backend-specific description of this shard (diagnostics /
   /// synapse-inspect): e.g. the cluster backend reports the docstore

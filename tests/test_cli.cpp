@@ -130,6 +130,8 @@ TEST(Cli, InspectStatsFlagReportsBackendAndReadCache) {
   EXPECT_NE(output.find("cache hits"), std::string::npos);
   EXPECT_NE(output.find("cache misses"), std::string::npos);
   EXPECT_NE(output.find("cache invalidations"), std::string::npos);
+  // `show` read the one stored profile once.
+  EXPECT_NE(output.find("profiles decoded    : 1\n"), std::string::npos);
   ::unlink(out.c_str());
   ::unlink((out + ".err").c_str());
 }

@@ -479,3 +479,50 @@ TEST(ProfileStoreConcurrencyCross, TwoInstancesWriteTheSameFilesStore) {
   }
   std::system(("rm -rf " + dir).c_str());
 }
+
+TEST(ProfileStoreConcurrencyCross, ReaderRefreshesAcrossAnotherInstancesWrites) {
+  // A reader instance keeps a cached, incrementally refreshed view of a
+  // workload while a writer instance over the same directory (a stand-in
+  // for another process) puts, removes and re-puts it. Every read is
+  // ordered and holds only that workload; once the writer is done, the
+  // reader's next lookup equals a fresh instance's full read.
+  const std::string dir = "/tmp/synapse_store_conc_refresh";
+  std::system(("rm -rf " + dir).c_str());
+  {
+    profile::ProfileStore reader("files", dir);
+    profile::ProfileStore writer("files", dir);
+    std::atomic<bool> stop{false};
+    std::atomic<size_t> reads{0};
+    std::thread reading([&] {
+      while (!stop.load()) {
+        const auto found = reader.find("refresh-cmd", {"x"});
+        for (size_t i = 0; i < found.size(); ++i) {
+          ASSERT_EQ(found[i].command, "refresh-cmd");
+          if (i > 0) ASSERT_LE(found[i - 1].created_at, found[i].created_at);
+        }
+        reads.fetch_add(1);
+      }
+    });
+    for (int round = 0; round < 6; ++round) {
+      for (int i = 0; i < 20; ++i) {
+        const int n = round * 100 + i;
+        writer.put(make_profile("refresh-cmd", {"x"}, n, n));
+      }
+      if (round == 1 || round == 3) writer.remove("refresh-cmd", {"x"});
+    }
+    stop.store(true);
+    reading.join();
+    EXPECT_GE(reads.load(), 1u);
+
+    profile::ProfileStore fresh("files", dir);
+    const auto expected = fresh.find("refresh-cmd", {"x"});
+    const auto seen = reader.find("refresh-cmd", {"x"});
+    ASSERT_EQ(expected.size(), 40u);
+    ASSERT_EQ(seen.size(), expected.size());
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_DOUBLE_EQ(seen[i].created_at, expected[i].created_at);
+      EXPECT_EQ(seen[i].totals, expected[i].totals);
+    }
+  }
+  std::system(("rm -rf " + dir).c_str());
+}

@@ -287,6 +287,7 @@ TEST(ProfileStoreCache, SharedSnapshotIsStableAcrossLaterWrites) {
   store.put(make_profile("cmd", {}, 1.0));
   const auto snapshot = store.find_shared("cmd");
   ASSERT_EQ(snapshot->size(), 1u);
+  const std::shared_ptr<const profile::Profile> held = snapshot->front();
   store.put(make_profile("cmd", {}, 2.0));
   // The earlier snapshot is immutable; new reads see the new write.
   EXPECT_EQ(snapshot->size(), 1u);
@@ -294,6 +295,14 @@ TEST(ProfileStoreCache, SharedSnapshotIsStableAcrossLaterWrites) {
   const auto latest = store.find_latest_shared("cmd");
   ASSERT_NE(latest, nullptr);
   EXPECT_DOUBLE_EQ(latest->created_at, 2.0);
+  // Neither that refresh nor a remove touches the earlier snapshot's
+  // elements.
+  EXPECT_EQ(store.remove("cmd"), 2u);
+  EXPECT_TRUE(store.find("cmd").empty());
+  ASSERT_EQ(snapshot->size(), 1u);
+  EXPECT_EQ(snapshot->front(), held);
+  EXPECT_DOUBLE_EQ(snapshot->front()->created_at, 1.0);
+  EXPECT_EQ(snapshot->front()->sample_count(), 8u);
 }
 
 // --- thread-count knob ------------------------------------------------------
