@@ -8,9 +8,8 @@ void Atom::consume_frame(const profile::DeltaFrame& frame,
                          const LaneMask& mask) {
   (void)mask;
   // The compatibility adapter: atoms that never learned about frames see
-  // exactly the per-sample maps the legacy feed loop would have built —
-  // same keys (sorted), same values, same wants() gating, same per-row
-  // exception contract.
+  // one per-sample map per row — the profile's sample deltas, keys
+  // sorted — gated by wants(), with the per-row exception contract.
   for (size_t row = 0; row < frame.rows(); ++row) {
     const profile::SampleDelta delta = frame.unbox(row);
     if (!wants(delta)) continue;

@@ -13,13 +13,14 @@
 
 #include "profile/delta_frame.hpp"
 #include "profile/profile.hpp"
+#include "sys/clock.hpp"
 #include "watchers/trace.hpp"
 
 namespace synapse::atoms {
 
 /// Cumulative accounting of what an atom consumed.
 struct AtomStats {
-  double busy_seconds = 0.0;  ///< wall time spent consuming
+  double busy_seconds = 0.0;  ///< wall time of every consume, summed
   double cycles = 0.0;
   double flops = 0.0;
   uint64_t bytes_read = 0;
@@ -45,6 +46,22 @@ inline void accumulate(AtomStats& into, const AtomStats& from) {
   into.net_bytes_received += from.net_bytes_received;
   into.samples_consumed += from.samples_consumed;
 }
+
+/// Adds the wall time of its scope to `busy` (an AtomStats::busy_seconds).
+/// The built-in atoms open one at the top of every consume() and
+/// consume_frame() call, so busy time covers the whole consume — kernel,
+/// syscalls and bookkeeping — at one clock pair per call, not per row.
+class BusyTimer {
+ public:
+  explicit BusyTimer(double& busy) : busy_(busy), start_(sys::steady_now()) {}
+  ~BusyTimer() { busy_ += sys::steady_now() - start_; }
+  BusyTimer(const BusyTimer&) = delete;
+  BusyTimer& operator=(const BusyTimer&) = delete;
+
+ private:
+  double& busy_;
+  const double start_;
+};
 
 /// One atom's compiled dispatch decision over one DeltaTable, resolved
 /// once per replay by the emulator's ReplayPlan. A row is wanted when

@@ -5,7 +5,6 @@
 #include "profile/metrics.hpp"
 #include "resource/cache_model.hpp"
 #include "resource/resource_spec.hpp"
-#include "sys/clock.hpp"
 
 namespace synapse::atoms {
 
@@ -34,6 +33,7 @@ void ComputeAtom::bind_lanes(const profile::LaneTable& lanes) {
 
 void ComputeAtom::consume_frame(const profile::DeltaFrame& frame,
                                 const LaneMask& mask) {
+  const BusyTimer timer(stats_.busy_seconds);
   for (size_t row = 0; row < frame.rows(); ++row) {
     if (!mask.row_wanted(frame, row)) continue;
     try {
@@ -45,6 +45,7 @@ void ComputeAtom::consume_frame(const profile::DeltaFrame& frame,
 }
 
 void ComputeAtom::consume(const profile::SampleDelta& delta) {
+  const BusyTimer timer(stats_.busy_seconds);
   consume_cycles(delta.get(m::kCyclesUsed));
 }
 
@@ -58,9 +59,7 @@ void ComputeAtom::consume_cycles(double cycles) {
   const double seconds =
       resource::seconds_for_cycles(spec, actual_cycles) * options_.time_scale;
 
-  const double start = sys::steady_now();
   kernel_->busy(seconds);
-  stats_.busy_seconds += sys::steady_now() - start;
 
   const double ipc = resource::effective_ipc(traits, spec);
   const double flops = actual_cycles * ipc / traits.instructions_per_flop;

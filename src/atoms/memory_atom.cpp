@@ -59,6 +59,7 @@ void MemoryAtom::release(uint64_t bytes) {
 }
 
 void MemoryAtom::consume(const profile::SampleDelta& delta) {
+  const BusyTimer timer(stats_.busy_seconds);
   consume_bytes(delta.get(m::kMemAllocated), delta.get(m::kMemFreed));
 }
 
@@ -73,6 +74,7 @@ void MemoryAtom::bind_lanes(const profile::LaneTable& lanes) {
 
 void MemoryAtom::consume_frame(const profile::DeltaFrame& frame,
                                const LaneMask& mask) {
+  const BusyTimer timer(stats_.busy_seconds);
   for (size_t row = 0; row < frame.rows(); ++row) {
     if (!mask.row_wanted(frame, row)) continue;
     try {

@@ -84,6 +84,7 @@ bool NetworkAtom::wants(const profile::SampleDelta& delta) const {
 }
 
 void NetworkAtom::consume(const profile::SampleDelta& delta) {
+  const BusyTimer timer(stats_.busy_seconds);
   consume_traffic(delta.get(m::kNetBytesWritten), delta.get(m::kNetBytesRead));
 }
 
@@ -98,6 +99,7 @@ void NetworkAtom::bind_lanes(const profile::LaneTable& lanes) {
 
 void NetworkAtom::consume_frame(const profile::DeltaFrame& frame,
                                 const LaneMask& mask) {
+  const BusyTimer timer(stats_.busy_seconds);
   for (size_t row = 0; row < frame.rows(); ++row) {
     if (!mask.row_wanted(frame, row)) continue;
     try {

@@ -30,6 +30,7 @@ bool StorageAtom::wants(const profile::SampleDelta& delta) const {
 }
 
 void StorageAtom::consume(const profile::SampleDelta& delta) {
+  const BusyTimer timer(stats_.busy_seconds);
   consume_io(delta.get(m::kBytesWritten), delta.get(m::kBytesRead),
              delta.get(m::kBlockSizeWrite), delta.get(m::kBlockSizeRead));
 }
@@ -47,6 +48,7 @@ void StorageAtom::bind_lanes(const profile::LaneTable& lanes) {
 
 void StorageAtom::consume_frame(const profile::DeltaFrame& frame,
                                 const LaneMask& mask) {
+  const BusyTimer timer(stats_.busy_seconds);
   for (size_t row = 0; row < frame.rows(); ++row) {
     if (!mask.row_wanted(frame, row)) continue;
     try {
@@ -78,9 +80,6 @@ void StorageAtom::consume_io(double bytes_written, double bytes_read,
                  : kDefaultBlock;
   }
 
-  const double cost_before =
-      file_->stats().read_seconds + file_->stats().write_seconds;
-
   // Writes first: they create the data subsequent reads consume (the
   // common dependency direction; cross-sample ordering is preserved by
   // the emulator's sample barrier either way).
@@ -101,8 +100,6 @@ void StorageAtom::consume_io(double bytes_written, double bytes_read,
 
   stats_.bytes_written += to_write;
   stats_.bytes_read += to_read;
-  stats_.busy_seconds += file_->stats().read_seconds +
-                         file_->stats().write_seconds - cost_before;
   stats_.samples_consumed += 1;
 }
 

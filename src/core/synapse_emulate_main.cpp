@@ -6,7 +6,7 @@
 //                   [--store-backend NAME] [--store-cluster SPEC.json]
 //                   [--kernel NAME] [--omp N | --ranks N]
 //                   [--atoms NAME[,NAME...]] [--net] [--replay-batch N]
-//                   [--pace auto|off|on] [--replay-frames on|off]
+//                   [--pace auto|off|on]
 //                   [--store-flush-ms MS] [--store-flush-max N]
 //                   [--store-format json|binary]
 //                   [--read-block KiB] [--write-block KiB] [--fs NAME]
@@ -14,12 +14,13 @@
 //   synapse-emulate --scenario NAME|FILE [--profile] [tuning flags...]
 //   synapse-emulate --list-scenarios
 //
-// --replay-batch >= 2 replays through the async batched pipeline
-// (identical non-timing stats, amortized dispatch); --store-flush-ms /
-// --store-flush-max set the store's FlushPolicy (age / size triggers
-// for the background flush worker). --pace controls replay pacing by
-// the recorded inter-sample gaps: auto (default) paces variable-rate
-// (adaptively recorded) profiles only, on paces everything, off never.
+// --replay-batch N >= 2 replays in windows of N samples (identical
+// non-timing stats, amortized handoff to the atom workers);
+// --store-flush-ms / --store-flush-max set the store's FlushPolicy (age
+// / size triggers for the background flush worker). --pace controls
+// replay pacing by the recorded inter-sample gaps: auto (default) paces
+// variable-rate (adaptively recorded) profiles only, on paces
+// everything, off never.
 //
 // --profile runs the scenario's emulation under the profiler (watcher
 // set from the scenario's `watchers` field) and stores the recorded
@@ -204,19 +205,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "synapse-emulate: %s\n", e.what());
         return 2;
       }
-    } else if (arg == "--replay-frames") {
-      const std::string mode = next();
-      if (mode == "on") {
-        options.emulator.replay_frames = true;
-      } else if (mode == "off") {
-        options.emulator.replay_frames = false;
-      } else {
-        std::fprintf(stderr,
-                     "synapse-emulate: --replay-frames expects on or off "
-                     "(got '%s')\n",
-                     mode.c_str());
-        return 2;
-      }
     } else if (arg == "--scheduler") {
       try {
         options.profiler.scheduler =
@@ -312,12 +300,12 @@ int main(int argc, char** argv) {
           "                [--store-cluster SPEC.json]\n"
           "                [--kernel asm|c|omp|sleep] [--omp N | --ranks N]\n"
           "                [--atoms NAME[,NAME...]] [--net]\n"
-          "                [--replay-batch N] (N >= 2: async batched replay\n"
-          "                 pipeline; same non-timing stats)\n"
+          "                [--replay-batch N] (samples per replay window;\n"
+          "                 1 = per-sample barrier, N >= 2 amortizes the\n"
+          "                 handoff to the atom workers; same non-timing\n"
+          "                 stats)\n"
           "                [--pace auto|off|on] (pace replay by recorded\n"
           "                 inter-sample gaps; auto = variable-rate only)\n"
-          "                [--replay-frames on|off] (compiled columnar\n"
-          "                 replay plan; off = legacy map-based feed)\n"
           "                [--store-flush-ms MS] [--store-flush-max N]\n"
           "                (store FlushPolicy: docstore background flush\n"
           "                 by age/size)\n"

@@ -15,33 +15,36 @@
 // sample ends when the LAST atom finishes, and intra-sample timing is
 // discarded.
 //
-// Two feed modes drive that loop (EmulatorOptions::replay_batch):
+// One feed loop serves both modes (EmulatorOptions::replay_batch). The
+// replay is compiled into a ReplayPlan first (replay_plan.hpp): deltas
+// become a columnar DeltaTable with interned metric lanes, scale
+// factors are baked in once, and each atom's wanted metrics resolve to
+// a LaneMask. The loop then walks the table in {first_row, rows}
+// windows — 1 row in single mode, replay_batch rows in batch mode:
 //
-//   single (replay_batch <= 1) - the paper-faithful loop: one thread
-//     per atom per sample, a barrier after every sample.
+//   - each engaged atom (one with a recorded metric, or one without
+//     declared metrics) gets one persistent worker thread for the run;
+//   - the coordinator releases a window by waking exactly the atoms
+//     whose LaneMask wants a row of it (Atom::consume_frame; atoms
+//     without frame support go through its default unboxing adapter),
+//     waits until all of them consumed it, fires the per-sample hook
+//     for every row of the window in recorded order, and paces.
 //
-//   batch (replay_batch >= 2) - the async pipeline: a producer thread
-//     decodes+scales deltas into batches and feeds one persistent
-//     consumer thread per atom through bounded SampleQueues
-//     (sample_queue.hpp). Each atom consumes its samples in recorded
-//     order, so non-timing stats are bit-identical to single mode; the
-//     barrier (and the per-sample hook) moves to batch granularity.
-//
-// Orthogonally, EmulatorOptions::replay_frames (default on) compiles
-// each replay into a ReplayPlan (replay_plan.hpp): deltas become a
-// columnar DeltaTable with interned metric lanes, scale factors are
-// baked in once, and per-sample dispatch reads trigger lanes instead
-// of probing wants() with string keys. Batch mode then feeds
-// {first_row, rows} frame windows through lock-free SPSC rings
-// (spsc_ring.hpp), recycled from a fixed pool — the steady state
-// allocates nothing. Atoms that don't implement the frame interface
-// are fed through an unbox adapter and behave exactly as before.
+// Single mode is therefore the paper's per-sample barrier; batch mode
+// coarsens the barrier (and moves the hooks) to window granularity,
+// amortizing the handoff, and unless paced lets the workers run up to
+// EmulatorOptions::replay_queue_depth windows ahead of the barrier.
+// Each atom consumes its rows in recorded order either way, so every
+// non-timing stat is identical across modes (pinned by the golden
+// fixtures in tests/fixtures). All waits spin, then yield, then block
+// on a condition variable: a handoff between busy threads costs well
+// under a microsecond, and an idle worker costs no CPU.
 //
 // Either mode optionally paces the feed by the recorded inter-sample
-// gaps (EmulatorOptions::pace; default: variable-rate profiles only).
-// Single mode sleeps before each delta, batch mode releases each batch
-// at its first sample's recorded offset — consumption order, barriers
-// and hook order are identical paced or not.
+// gaps (EmulatorOptions::pace; default: variable-rate profiles only):
+// each window is released at its first row's recorded offset, so
+// consumption order, barriers and hook order are identical paced or
+// not.
 
 #include <functional>
 #include <memory>
@@ -93,27 +96,10 @@ class ReplayEngine {
   const atoms::AtomRegistry& registry() const { return *registry_; }
 
  private:
-  /// The paper-faithful per-sample barrier loop (replay_batch <= 1).
-  void feed_single(const profile::Profile& profile,
-                   const EmulatorOptions& opts,
-                   const std::vector<std::unique_ptr<atoms::Atom>>& active,
-                   const SampleHook& per_sample_hook, EmulationResult& result);
-  /// The async batched pipeline (replay_batch >= 2).
-  void feed_batched(const profile::Profile& profile,
-                    const EmulatorOptions& opts,
-                    const std::vector<std::unique_ptr<atoms::Atom>>& active,
-                    const SampleHook& per_sample_hook, EmulationResult& result);
-  /// feed_single over a compiled ReplayPlan (replay_frames on).
-  void feed_single_frames(
-      const profile::Profile& profile, const EmulatorOptions& opts,
-      const std::vector<std::unique_ptr<atoms::Atom>>& active,
-      const SampleHook& per_sample_hook, EmulationResult& result);
-  /// feed_batched over a compiled ReplayPlan: frame windows through
-  /// lock-free SPSC rings, recycled from a fixed task pool.
-  void feed_batched_frames(
-      const profile::Profile& profile, const EmulatorOptions& opts,
-      const std::vector<std::unique_ptr<atoms::Atom>>& active,
-      const SampleHook& per_sample_hook, EmulationResult& result);
+  /// The feed loop over the compiled plan (see the header comment).
+  void feed(const profile::Profile& profile, const EmulatorOptions& opts,
+            const std::vector<std::unique_ptr<atoms::Atom>>& active,
+            const SampleHook& per_sample_hook, EmulationResult& result);
 
   EmulatorOptions options_;
   const atoms::AtomRegistry* registry_;  ///< not owned, never null

@@ -1,16 +1,17 @@
 #pragma once
 // Bounded lock-free single-producer/single-consumer ring.
 //
-// The transport under the batched replay pipeline (sample_queue.hpp and
-// the frame path in replay_engine.cpp): one producer thread pushes, one
-// consumer thread pops, and a third party (the coordinator) may close
-// the ring to shut the pipeline down. Slots are a fixed array; head and
-// tail are monotonically increasing counters synchronized with
-// acquire/release — pushing publishes the slot write, popping publishes
-// the slot release — so steady-state transfers take no locks and no
-// allocations.
+// No longer on the replay path: the ReplayEngine's feed loop hands
+// windows to its per-atom workers directly (replay_engine.cpp). The
+// ring is kept, with its tests, as a standalone component until its
+// removal (ROADMAP). One producer thread pushes, one consumer thread
+// pops, and a third party may close the ring to shut the handoff down.
+// Slots are a fixed array; head and tail are monotonically increasing
+// counters synchronized with acquire/release — pushing publishes the
+// slot write, popping publishes the slot release — so steady-state
+// transfers take no locks and no allocations.
 //
-// Blocking semantics mirror the original mutex+cv SampleQueue:
+// Blocking semantics (those of a bounded mutex+cv queue):
 //   push()  blocks while full, returns false once closed (item dropped);
 //   pop()   blocks while empty, returns false once closed AND drained —
 //           or immediately after close(discard_pending=true), leaving
@@ -18,9 +19,7 @@
 //   close() idempotent, callable from any thread.
 //
 // Waiting is a spin that escalates to yield and then to a short sleep —
-// C++17 has no std::atomic::wait, and replay stalls are either
-// nanoseconds (slot turnaround) or "the other side is doing real atom
-// work", where a microsecond sleep is noise.
+// C++17 has no std::atomic::wait.
 
 #include <atomic>
 #include <chrono>

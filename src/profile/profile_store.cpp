@@ -10,6 +10,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <iterator>
 #include <list>
 #include <map>
@@ -177,6 +178,10 @@ struct ProfileStore::Flusher {
   bool pending = false;  ///< a flush_async() request not yet picked up
   bool running = false;  ///< the worker is flushing right now
   bool stop = false;
+  /// The first exception a background flush threw; the next explicit
+  /// flush() rethrows it (an exception must not escape the worker
+  /// thread, which would terminate the process).
+  std::exception_ptr error;
   /// Writes since the last flush began; drives FlushPolicy::max_pending
   /// and the drain-on-destruction guarantee.
   size_t dirty = 0;
@@ -723,16 +728,25 @@ void ProfileStore::flush() {
   // already on disk. Clearing BEFORE flushing is the safe order: a put
   // racing with the flush re-arms the counter via note_puts and at
   // worst earns one redundant background flush, never a lost one.
+  std::exception_ptr background;
   if (flusher_) {
     std::lock_guard<std::mutex> lock(flusher_->mutex);
     flusher_->dirty = 0;
+    background = std::exchange(flusher_->error, nullptr);
   }
   // No need to wait for the background worker: flush_all_shards() is
   // idempotent and every put() that happened-before this call is
   // covered by it directly. (Waiting on the worker would also let
   // concurrent flush_async() callers starve this thread by re-setting
-  // the pending flag forever.)
-  flush_all_shards();
+  // the pending flag forever.) A background failure still gets this
+  // flush attempt, then surfaces here — the earlier error first.
+  try {
+    flush_all_shards();
+  } catch (...) {
+    if (background) std::rethrow_exception(background);
+    throw;
+  }
+  if (background) std::rethrow_exception(background);
 }
 
 void ProfileStore::start_flush_worker() {
@@ -776,12 +790,18 @@ void ProfileStore::start_flush_worker() {
           std::lock_guard<std::mutex> shard_lock(shard_ptrs[i]->mutex);
           shard_ptrs[i]->backend->flush();
         };
-        if (pool != nullptr && shard_ptrs.size() > 1) {
-          pool->parallel_for(shard_ptrs.size(), flush_one);
-        } else {
-          for (size_t i = 0; i < shard_ptrs.size(); ++i) flush_one(i);
+        std::exception_ptr failed;
+        try {
+          if (pool != nullptr && shard_ptrs.size() > 1) {
+            pool->parallel_for(shard_ptrs.size(), flush_one);
+          } else {
+            for (size_t i = 0; i < shard_ptrs.size(); ++i) flush_one(i);
+          }
+        } catch (...) {
+          failed = std::current_exception();
         }
         lock.lock();
+        if (failed && !f->error) f->error = failed;
         f->running = false;
         f->cv.notify_all();
         continue;  // re-evaluate stop/pending with fresh state

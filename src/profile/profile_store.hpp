@@ -181,7 +181,9 @@ class ProfileStore {
 
   /// Persist pending state (no-op for backends that persist eagerly).
   /// Synchronous and bounded: covers every put() that happened before
-  /// the call, independent of the background flush worker.
+  /// the call, independent of the background flush worker. If a
+  /// background flush failed since the last flush(), its (first)
+  /// exception is rethrown here, after this flush was attempted.
   void flush();
 
   /// Queue a flush on the background flush worker and return

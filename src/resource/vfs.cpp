@@ -94,8 +94,12 @@ double VirtualFile::read(uint64_t bytes) {
 }
 
 void VirtualFile::sync() {
-  ::fsync(fd_);
-  ::lseek(fd_, 0, SEEK_SET);
+  if (::fsync(fd_) != 0) {
+    throw sys::SystemError("fsync(" + path_ + ")", errno);
+  }
+  if (::lseek(fd_, 0, SEEK_SET) < 0) {
+    throw sys::SystemError("lseek(" + path_ + ")", errno);
+  }
 }
 
 VirtualFilesystem::VirtualFilesystem(FilesystemSpec spec, std::string root)

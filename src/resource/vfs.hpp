@@ -52,7 +52,8 @@ class VirtualFile {
   /// file contents). Returns the modelled cost in seconds.
   double read(uint64_t bytes);
 
-  /// fsync + rewind, for write-then-read patterns.
+  /// fsync + rewind, for write-then-read patterns. Throws
+  /// sys::SystemError when either fails.
   void sync();
 
   const IoStats& stats() const { return stats_; }

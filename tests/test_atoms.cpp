@@ -142,6 +142,31 @@ TEST(StorageAtom, ReplaysBytes) {
   EXPECT_GT(atom.stats().busy_seconds, 0.0);
 }
 
+TEST(AtomAccounting, BusyTimeCoversTheWholeConsume) {
+  HostGuard guard;
+  // busy_seconds is the wall time of each whole consume call: the
+  // storage atom's per-sample sync and the memory atom's page touching
+  // included, so busy ~= the caller's stopwatch around the call.
+  atoms::StorageAtomOptions storage_opts;
+  storage_opts.base_dir = "/tmp";
+  atoms::StorageAtom storage(storage_opts);
+  atoms::MemoryAtom memory;
+  atoms::ComputeAtom compute;
+  const auto d = delta_with({{m::kBytesWritten, 512.0 * 1024},
+                             {m::kMemAllocated, 8.0 * 1024 * 1024},
+                             {m::kCyclesUsed, 2e6}});
+  for (atoms::Atom* atom : std::initializer_list<atoms::Atom*>{
+           &storage, &memory, &compute}) {
+    const sys::Stopwatch sw;
+    atom->consume(d);
+    const double wall = sw.elapsed();
+    const double busy = atom->stats().busy_seconds;
+    EXPECT_GT(busy, 0.0) << atom->name();
+    EXPECT_LE(busy, wall) << atom->name();
+    EXPECT_GE(busy, 0.9 * wall) << atom->name();
+  }
+}
+
 TEST(StorageAtom, HonoursConfiguredBlockSizes) {
   HostGuard guard;
   resource::activate_resource("supermic");  // lustre: high write latency

@@ -1,8 +1,19 @@
 #include "emulator/replay_engine.hpp"
 
+#include <dirent.h>
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "emulator/emulator.hpp"
 #include "profile/metrics.hpp"
@@ -512,4 +523,282 @@ TEST(ReplayPacing, PacedAndUnpacedBatchedStatsMatch) {
   ASSERT_TRUE(rp.atom_stats.count("storage"));
   expect_stats_parity(rp.atom_stats.at("storage"),
                       ru.atom_stats.at("storage"), "storage");
+}
+
+// --- the one feed loop: barrier, concurrency, failure, idle cost -------------
+
+namespace {
+
+/// Threads of this process right now (/proc/self/task entries).
+size_t thread_count() {
+  size_t n = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* e = ::readdir(dir)) {
+      if (e->d_name[0] != '.') ++n;
+    }
+    ::closedir(dir);
+  }
+  return n;
+}
+
+double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// Start and finish of one atom's consume of one row, stamped from a
+/// shared sequence counter (a total order across threads).
+struct RowSpan {
+  size_t row = 0;
+  uint64_t start = 0;
+  uint64_t finish = 0;
+};
+
+struct SpanLog {
+  std::atomic<uint64_t> seq{0};
+  std::mutex mutex;
+  std::vector<RowSpan> spans;
+};
+
+/// Wants every row (no declared metrics: the adapter mask) and records
+/// when it started and finished each one; `hold` keeps it busy a while
+/// so a broken barrier would let a faster atom run ahead.
+class SpanAtom final : public atoms::Atom {
+ public:
+  SpanAtom(std::string name, SpanLog* log, std::chrono::microseconds hold)
+      : Atom(std::move(name)), log_(log), hold_(hold) {}
+  bool wants(const profile::SampleDelta&) const override { return true; }
+  void consume(const profile::SampleDelta&) override {}
+  void consume_frame(const profile::DeltaFrame& frame,
+                     const atoms::LaneMask&) override {
+    for (size_t r = 0; r < frame.rows(); ++r) {
+      RowSpan span;
+      span.row = frame.first_index() + r;
+      span.start = log_->seq.fetch_add(1);
+      std::this_thread::sleep_for(hold_);
+      span.finish = log_->seq.fetch_add(1);
+      stats_.samples_consumed += 1;
+      const std::lock_guard<std::mutex> lock(log_->mutex);
+      log_->spans.push_back(span);
+    }
+  }
+
+ private:
+  SpanLog* log_;
+  std::chrono::microseconds hold_;
+};
+
+/// Meeting point of two atoms inside one row: each arrives, then waits
+/// (bounded) for the other. Serialized dispatch would time out.
+struct Rendezvous {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::map<size_t, int> arrived;
+};
+
+class RendezvousAtom final : public atoms::Atom {
+ public:
+  RendezvousAtom(std::string name, Rendezvous* meet)
+      : Atom(std::move(name)), meet_(meet) {}
+  bool wants(const profile::SampleDelta&) const override { return true; }
+  void consume(const profile::SampleDelta&) override {}
+  void consume_frame(const profile::DeltaFrame& frame,
+                     const atoms::LaneMask&) override {
+    std::unique_lock<std::mutex> lock(meet_->mutex);
+    const size_t row = frame.first_index();
+    ++meet_->arrived[row];
+    meet_->cv.notify_all();
+    if (meet_->cv.wait_for(lock, std::chrono::seconds(2),
+                           [&] { return meet_->arrived[row] >= 2; })) {
+      stats_.samples_consumed += frame.rows();
+    }
+  }
+
+ private:
+  Rendezvous* meet_;
+};
+
+/// consume_frame throws on every frame: a std exception for odd frames,
+/// a non-std one for even frames.
+class ThrowingAtom final : public atoms::Atom {
+ public:
+  ThrowingAtom() : Atom("thrower") {}
+  bool wants(const profile::SampleDelta&) const override { return true; }
+  void consume(const profile::SampleDelta&) override {}
+  void consume_frame(const profile::DeltaFrame& frame,
+                     const atoms::LaneMask&) override {
+    if (frame.first_index() % 2 == 0) throw 42;
+    throw std::runtime_error("atom failed");
+  }
+};
+
+}  // namespace
+
+TEST(ReplayEngine, SingleModeNoAtomStartsRowBeforeThePreviousRowFinished) {
+  HostGuard guard;
+  SpanLog log;
+  atoms::AtomRegistry registry;
+  registry.register_atom("slow", [&log](const atoms::AtomBuildContext&) {
+    return std::make_unique<SpanAtom>("slow", &log,
+                                      std::chrono::microseconds(300));
+  });
+  registry.register_atom("fast", [&log](const atoms::AtomBuildContext&) {
+    return std::make_unique<SpanAtom>("fast", &log,
+                                      std::chrono::microseconds(0));
+  });
+  auto opts = tmp_options();
+  opts.atom_set = {"slow", "fast"};
+  opts.replay_batch = 1;
+  emulator::ReplayEngine engine(opts, &registry);
+  const size_t rows = 20;
+  const auto r = engine.replay(synthetic_profile(rows, 1e3));
+  ASSERT_EQ(r.samples_replayed, rows);
+  ASSERT_EQ(log.spans.size(), 2 * rows);
+
+  std::vector<uint64_t> first_start(rows, UINT64_MAX), last_finish(rows, 0);
+  for (const auto& span : log.spans) {
+    first_start[span.row] = std::min(first_start[span.row], span.start);
+    last_finish[span.row] = std::max(last_finish[span.row], span.finish);
+  }
+  for (size_t k = 0; k + 1 < rows; ++k) {
+    EXPECT_LT(last_finish[k], first_start[k + 1]) << "row " << k;
+  }
+}
+
+TEST(ReplayEngine, BatchHooksWaitForEveryAtomToConsumeTheWindow) {
+  HostGuard guard;
+  // Workers may run ahead of the window barrier in batch mode, never
+  // behind it: when the hook of sample i fires, every atom consumed at
+  // least samples 0..i.
+  SpanLog log;
+  atoms::AtomRegistry registry;
+  registry.register_atom("slow", [&log](const atoms::AtomBuildContext&) {
+    return std::make_unique<SpanAtom>("slow", &log,
+                                      std::chrono::microseconds(200));
+  });
+  registry.register_atom("fast", [&log](const atoms::AtomBuildContext&) {
+    return std::make_unique<SpanAtom>("fast", &log,
+                                      std::chrono::microseconds(0));
+  });
+  for (const size_t depth : {size_t{0}, size_t{4}}) {
+    log.spans.clear();
+    auto opts = tmp_options();
+    opts.atom_set = {"slow", "fast"};
+    opts.replay_batch = 3;
+    opts.replay_queue_depth = depth;
+    emulator::ReplayEngine engine(opts, &registry);
+    size_t late = 0;
+    const auto r = engine.replay(synthetic_profile(20, 1e3), [&](size_t i) {
+      const std::lock_guard<std::mutex> lock(log.mutex);
+      size_t done = 0;
+      for (const auto& span : log.spans) done += span.row <= i ? 1 : 0;
+      if (done != 2 * (i + 1)) ++late;
+    });
+    EXPECT_EQ(r.samples_replayed, 20u) << depth;
+    EXPECT_EQ(late, 0u) << depth;
+  }
+}
+
+TEST(ReplayEngine, AtomsOfOneRowRunConcurrently) {
+  HostGuard guard;
+  // Each atom waits inside the row for the other to arrive: only
+  // concurrent dispatch lets both finish (serialized dispatch would
+  // time out the first one every row).
+  for (const size_t batch : {size_t{1}, size_t{3}}) {
+    Rendezvous meet;
+    atoms::AtomRegistry registry;
+    for (const char* name : {"left", "right"}) {
+      registry.register_atom(name, [&meet, name](const atoms::AtomBuildContext&) {
+        return std::make_unique<RendezvousAtom>(name, &meet);
+      });
+    }
+    auto opts = tmp_options();
+    opts.atom_set = {"left", "right"};
+    opts.replay_batch = batch;
+    emulator::ReplayEngine engine(opts, &registry);
+    const auto r = engine.replay(synthetic_profile(6, 1e3));
+    ASSERT_EQ(r.samples_replayed, 6u);
+    EXPECT_EQ(r.atom_stats.at("left").samples_consumed, 6u) << batch;
+    EXPECT_EQ(r.atom_stats.at("right").samples_consumed, 6u) << batch;
+  }
+}
+
+TEST(ReplayEngine, ThrowingAtomDoesNotWedgeSingleMode) {
+  HostGuard guard;
+  atoms::AtomRegistry registry;
+  registry.register_atom("thrower", [](const atoms::AtomBuildContext&) {
+    return std::make_unique<ThrowingAtom>();
+  });
+  auto opts = tmp_options();
+  opts.atom_set = {"thrower", "memory"};
+  opts.replay_batch = 1;
+  const size_t before = thread_count();
+  emulator::ReplayEngine engine(opts, &registry);
+  const auto r = engine.replay(synthetic_profile(8, 1e3, 0, 4096));
+  EXPECT_EQ(r.samples_replayed, 8u);
+  EXPECT_EQ(r.memory.samples_consumed, 8u);
+  EXPECT_EQ(r.atom_stats.at("thrower").samples_consumed, 0u);
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(ReplayEngine, ThrowingHookJoinsEveryWorkerInSingleMode) {
+  HostGuard guard;
+  auto opts = tmp_options();
+  opts.atom_set = {"compute", "memory", "storage"};
+  opts.replay_batch = 1;
+  const size_t before = thread_count();
+  emulator::ReplayEngine engine(opts);
+  size_t hooks = 0;
+  EXPECT_THROW(engine.replay(synthetic_profile(30, 1e3, 1024, 4096),
+                             [&hooks](size_t index) {
+                               ++hooks;
+                               if (index == 4) {
+                                 throw sys::SynapseError("hook failed");
+                               }
+                             }),
+               sys::SynapseError);
+  // The failing sample is the last one: no atom work, no hook after it.
+  EXPECT_EQ(hooks, 5u);
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(ReplayPacing, IdleWorkersBlockDuringRecordedGap) {
+  HostGuard guard;
+  // A 0.4 s recorded gap between two bursts: the paced replay sleeps
+  // through it, and the parked workers must not spin through it.
+  profile::Profile p;
+  p.command = "gap";
+  profile::TimeSeries io;
+  io.watcher = "io";
+  io.sample_rate_hz = 100.0;
+  io.variable_rate = true;
+  double bytes = 0, alloc = 0;
+  for (const double off : {0.0, 0.01, 0.02, 0.42, 0.43}) {
+    profile::Sample s;
+    s.timestamp = 100.0 + off;
+    bytes += 1024;
+    alloc += 4096;
+    s.set(m::kBytesWritten, bytes);
+    s.set(m::kMemAllocated, alloc);
+    io.samples.push_back(std::move(s));
+  }
+  p.series.push_back(io);
+  ASSERT_TRUE(p.variable_rate());
+
+  auto opts = tmp_options();
+  opts.atom_set = {"memory", "storage"};
+  emulator::ReplayEngine engine(opts);
+  const double cpu0 = process_cpu_seconds();
+  sys::Stopwatch watch;
+  const auto r = engine.replay(p);
+  const double wall = watch.elapsed();
+  const double cpu = process_cpu_seconds() - cpu0;
+  EXPECT_EQ(r.samples_replayed, 5u);
+  EXPECT_GE(wall, 0.3);
+  EXPECT_LT(cpu, 0.05) << "replay burned " << cpu << " s of CPU in " << wall
+                       << " s";
 }

@@ -1,10 +1,9 @@
 // The compiled replay plan (emulator/replay_plan.hpp +
 // profile/delta_frame.hpp): columnar DeltaTable construction, lane
-// interning, and — the load-bearing property — bit-identical non-timing
-// AtomStats between the frame feed (replay_frames on, the default) and
-// the legacy map feed, across the builtin scenario catalog, both feed
-// modes, fixed- and variable-rate profiles, and custom atoms that only
-// implement the legacy consume() interface.
+// interning, and frame dispatch — idle atoms, custom atoms that only
+// implement the legacy consume() interface, hook order and hook errors.
+// Bit-identical non-timing AtomStats across the builtin catalog are
+// pinned by the golden fixtures (test_replay_golden.cpp).
 
 #include <gtest/gtest.h>
 
@@ -15,19 +14,16 @@
 #include "emulator/emulator.hpp"
 #include "emulator/replay_engine.hpp"
 #include "emulator/replay_plan.hpp"
-#include "profile/binary_codec.hpp"
 #include "profile/delta_frame.hpp"
 #include "profile/metrics.hpp"
 #include "profile/profile.hpp"
 #include "resource/resource_spec.hpp"
 #include "sys/error.hpp"
-#include "workload/scenario.hpp"
 
 namespace atoms = synapse::atoms;
 namespace emulator = synapse::emulator;
 namespace profile = synapse::profile;
 namespace resource = synapse::resource;
-namespace workload = synapse::workload;
 namespace m = synapse::metrics;
 namespace sys = synapse::sys;
 
@@ -103,41 +99,6 @@ profile::Profile variable_profile() {
   }
   p.series.push_back(trace);
   return p;
-}
-
-void expect_stats_parity(const atoms::AtomStats& a, const atoms::AtomStats& b,
-                         const std::string& label) {
-  EXPECT_EQ(a.cycles, b.cycles) << label;
-  EXPECT_EQ(a.flops, b.flops) << label;
-  EXPECT_EQ(a.bytes_read, b.bytes_read) << label;
-  EXPECT_EQ(a.bytes_written, b.bytes_written) << label;
-  EXPECT_EQ(a.bytes_allocated, b.bytes_allocated) << label;
-  EXPECT_EQ(a.bytes_freed, b.bytes_freed) << label;
-  EXPECT_EQ(a.net_bytes_sent, b.net_bytes_sent) << label;
-  EXPECT_EQ(a.net_bytes_received, b.net_bytes_received) << label;
-  EXPECT_EQ(a.samples_consumed, b.samples_consumed) << label;
-}
-
-/// Replay `p` twice with identical options except replay_frames, and
-/// require bit-identical non-timing stats for every atom.
-void expect_frame_map_parity(const profile::Profile& p,
-                             emulator::EmulatorOptions opts,
-                             const std::string& label,
-                             const atoms::AtomRegistry* registry = nullptr) {
-  opts.replay_frames = false;
-  emulator::ReplayEngine map_engine(opts, registry);
-  const auto rm = map_engine.replay(p);
-
-  opts.replay_frames = true;
-  emulator::ReplayEngine frame_engine(opts, registry);
-  const auto rf = frame_engine.replay(p);
-
-  EXPECT_EQ(rf.samples_replayed, rm.samples_replayed) << label;
-  ASSERT_EQ(rf.atom_stats.size(), rm.atom_stats.size()) << label;
-  for (const auto& [name, stats] : rm.atom_stats) {
-    ASSERT_TRUE(rf.atom_stats.count(name)) << label << "/" << name;
-    expect_stats_parity(rf.atom_stats.at(name), stats, label + "/" + name);
-  }
 }
 
 /// Legacy-interface custom atom: no wanted_metrics()/consume_frame()
@@ -225,101 +186,49 @@ TEST(DeltaTable, PresenceDistinguishesRecordedZeroFromAbsent) {
             profile::LaneTable::kNoLane);
 }
 
-// --- frame vs map engine parity ---------------------------------------------
-
-TEST(ReplayFrames, ParityAcrossBuiltinScenarioCatalog) {
-  HostGuard guard;
-  for (const auto& spec : workload::builtin_scenarios()) {
-    const auto p = spec.make_profile();
-    for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
-      auto opts = spec.make_options(tmp_options());
-      opts.replay_batch = batch;
-      opts.pace = emulator::ReplayPace::Off;
-      expect_frame_map_parity(
-          p, opts, spec.name + "/batch" + std::to_string(batch));
-    }
-  }
-}
-
-TEST(ReplayFrames, ParityOnVariableRateProfile) {
-  HostGuard guard;
-  const auto p = variable_profile();
-  ASSERT_TRUE(p.variable_rate());
-  for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
-    auto opts = tmp_options();
-    opts.replay_batch = batch;
-    opts.pace = emulator::ReplayPace::Off;  // parity, not timing
-    expect_frame_map_parity(p, opts, "variable/batch" + std::to_string(batch));
-  }
-}
-
-TEST(ReplayFrames, ParityOnBinaryPayloadProfile) {
-  HostGuard guard;
-  const auto p = profile::Profile::from_binary(fixed_profile(10).to_binary());
-  ASSERT_TRUE(p.has_binary_payload());
-  for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
-    auto opts = tmp_options();
-    opts.replay_batch = batch;
-    expect_frame_map_parity(p, opts, "binary/batch" + std::to_string(batch));
-  }
-}
-
-TEST(ReplayFrames, ParityUnderWorkloadScales) {
-  HostGuard guard;
-  // Scales off the identity path: the frame plan bakes them into lanes
-  // once, the map path multiplies per sample — results must still be
-  // bit-identical (same single multiplication either way).
-  const auto p = fixed_profile(8);
-  auto opts = tmp_options();
-  opts.cycle_scale = 0.5;
-  opts.memory_scale = 2.0;
-  opts.io_scale = 3.0;
-  for (const size_t batch : {size_t{1}, size_t{4}}) {
-    opts.replay_batch = batch;
-    expect_frame_map_parity(p, opts, "scaled/batch" + std::to_string(batch));
-  }
-}
+// --- frame dispatch ----------------------------------------------------------
 
 TEST(ReplayFrames, LegacyCustomAtomRunsThroughAdapter) {
   HostGuard guard;
   // TallyAtom implements only wants()/consume(): the plan must mark it
-  // adapter-dispatched and unbox every row for it, in both feed modes.
+  // adapter-dispatched and unbox every row for it, in both feed modes,
+  // seeing exactly the per-sample cycle deltas the native atom sees.
   atoms::AtomRegistry registry;
   registry.register_atom("tally", [](const atoms::AtomBuildContext&) {
     return std::make_unique<TallyAtom>();
   });
   const auto p = fixed_profile(9);
+  double recorded = 0;
+  for (const auto& d : p.sample_deltas()) recorded += d.get(m::kCyclesUsed);
   for (const size_t batch : {size_t{1}, size_t{4}}) {
     auto opts = tmp_options();
     opts.atom_set = {"compute", "tally"};
     opts.replay_batch = batch;
-    opts.replay_frames = true;
     emulator::ReplayEngine engine(opts, &registry);
     const auto r = engine.replay(p);
     ASSERT_TRUE(r.atom_stats.count("tally"));
     EXPECT_EQ(r.atom_stats.at("tally").samples_consumed, 9u);
-    expect_frame_map_parity(p, opts, "tally/batch" + std::to_string(batch),
-                            &registry);
+    EXPECT_EQ(r.atom_stats.at("tally").cycles, recorded);
+    EXPECT_EQ(r.compute.samples_consumed, 9u);
   }
 }
 
 TEST(ReplayFrames, AtomWithNoRecordedMetricsStaysIdle) {
   HostGuard guard;
   // The profile records no network metrics: the plan marks the network
-  // atom idle (hoisted wants() miss) and it must consume nothing —
-  // exactly what per-sample wants() probing yields on the map path.
+  // atom idle (no worker thread) and it must consume nothing, while the
+  // other atoms replay every sample.
   const auto p = fixed_profile(5);
   for (const size_t batch : {size_t{1}, size_t{3}}) {
     auto opts = tmp_options();
     opts.emulate_network = true;
     opts.replay_batch = batch;
-    expect_frame_map_parity(p, opts, "idle-net/batch" + std::to_string(batch));
-
-    opts.replay_frames = true;
     emulator::ReplayEngine engine(opts);
     const auto r = engine.replay(p);
     EXPECT_EQ(r.network.samples_consumed, 0u);
     EXPECT_EQ(r.network.net_bytes_sent, 0u);
+    EXPECT_EQ(r.compute.samples_consumed, 5u);
+    EXPECT_EQ(r.storage.bytes_written, 5u * 32 * 1024);
   }
 }
 
@@ -328,7 +237,6 @@ TEST(ReplayFrames, FrameFeedFiresHooksInRecordedOrder) {
   auto opts = tmp_options();
   opts.atom_set = {"memory"};
   opts.replay_batch = 3;
-  opts.replay_frames = true;
   emulator::ReplayEngine engine(opts);
   std::vector<size_t> seen;
   const auto r = engine.replay(fixed_profile(8), [&seen](size_t index) {
@@ -341,14 +249,13 @@ TEST(ReplayFrames, FrameFeedFiresHooksInRecordedOrder) {
 
 TEST(ReplayFrames, HookErrorAbortsFramePipelineWithoutDeadlock) {
   HostGuard guard;
-  // A throwing hook must propagate out of replay() with the producer
-  // and consumers joined — the regression case is the producer spinning
-  // forever on a task slot the dead coordinator never releases.
+  // A throwing hook must propagate out of replay() with every worker
+  // joined (a leaked joinable thread would terminate the process), also
+  // while the workers run ahead of the barrier.
   auto opts = tmp_options();
   opts.atom_set = {"memory"};
   opts.replay_batch = 2;
-  opts.replay_queue_depth = 1;  // smallest pool: recycling under stress
-  opts.replay_frames = true;
+  opts.replay_queue_depth = 1;
   emulator::ReplayEngine engine(opts);
   EXPECT_THROW(engine.replay(fixed_profile(64),
                              [](size_t index) {
@@ -357,14 +264,4 @@ TEST(ReplayFrames, HookErrorAbortsFramePipelineWithoutDeadlock) {
                                }
                              }),
                sys::SynapseError);
-}
-
-TEST(ReplayFrames, MapFeedStillAvailableBehindTheKnob) {
-  HostGuard guard;
-  auto opts = tmp_options();
-  opts.replay_frames = false;
-  emulator::ReplayEngine engine(opts);
-  const auto r = engine.replay(fixed_profile(4));
-  EXPECT_EQ(r.samples_replayed, 4u);
-  EXPECT_EQ(r.storage.bytes_written, 4u * 32 * 1024);
 }

@@ -1,5 +1,5 @@
-// Concurrency hammers for the lock-free SPSC ring underneath the
-// batched replay pipeline (emulator/spsc_ring.hpp). Built into the
+// Concurrency hammers for the lock-free SPSC ring
+// (emulator/spsc_ring.hpp). Built into the
 // concurrency-labeled test binary so the CI ThreadSanitizer job checks
 // the acquire/release protocol, not just the outcomes.
 

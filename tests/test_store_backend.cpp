@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <string>
+#include <thread>
 
 #include "json/json.hpp"
 #include "profile/metrics.hpp"
@@ -73,6 +77,24 @@ class CountingBackend : public profile::StoreBackend {
  private:
   std::vector<profile::Profile> profiles_;
   size_t* puts_;
+};
+
+/// A buffering backend whose FIRST flush() throws (counted across every
+/// shard's instance); later flushes succeed.
+class FailingFlushBackend : public CountingBackend {
+ public:
+  explicit FailingFlushBackend(std::atomic<int>* flushes)
+      : CountingBackend(nullptr), flushes_(flushes) {}
+
+  bool needs_flush() const override { return true; }
+  void flush() override {
+    if (flushes_->fetch_add(1) == 0) {
+      throw synapse::sys::SynapseError("first background flush failed");
+    }
+  }
+
+ private:
+  std::atomic<int>* flushes_;
 };
 
 }  // namespace
@@ -264,4 +286,46 @@ TEST(StoreBackend, RemoveDeletesOneWorkloadAcrossBackends) {
     }
     std::system(("rm -rf " + dir).c_str());
   }
+}
+
+TEST(StoreBackend, BackgroundFlushErrorSurfacesOnNextFlush) {
+  // A throwing backend flush() on the background worker must neither
+  // terminate the process nor wedge the worker: the error is kept and
+  // rethrown by the next explicit flush(), once.
+  profile::StoreBackendRegistry registry;
+  std::atomic<int> flushes{0};
+  registry.register_backend("failing-flush",
+                            [&flushes](const profile::StoreBackendContext&) {
+                              return std::make_unique<FailingFlushBackend>(
+                                  &flushes);
+                            });
+  profile::ProfileStoreOptions options;
+  options.backend = "failing-flush";
+  options.registry = &registry;
+  options.shards = 2;
+  profile::ProfileStore store(std::move(options));
+
+  store.put(make_profile("flush-cmd", {}, 1, 1.0));
+  store.flush_async();
+  std::string caught;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (caught.empty() && std::chrono::steady_clock::now() < deadline) {
+    if (flushes.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    try {
+      store.flush();
+    } catch (const synapse::sys::SynapseError& e) {
+      caught = e.what();
+    }
+  }
+  EXPECT_NE(caught.find("first background flush failed"), std::string::npos);
+  // Reported once; the store and its worker keep working.
+  EXPECT_NO_THROW(store.flush());
+  store.put(make_profile("flush-cmd", {}, 2, 2.0));
+  store.flush_async();
+  EXPECT_NO_THROW(store.flush());
+  EXPECT_EQ(store.find("flush-cmd").size(), 2u);
 }

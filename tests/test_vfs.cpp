@@ -1,12 +1,17 @@
 #include "resource/vfs.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <fstream>
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "sys/clock.hpp"
+#include "sys/error.hpp"
 
 namespace resource = synapse::resource;
 namespace sys = synapse::sys;
@@ -50,6 +55,25 @@ TEST(Vfs, WriteProducesRealBytes) {
   std::ifstream in(kRoot + "/real.dat", std::ios::binary | std::ios::ate);
   EXPECT_EQ(static_cast<size_t>(in.tellg()), 64u * 1024);
   vfs.remove("real.dat");
+}
+
+TEST(Vfs, SyncFailureThrowsSystemError) {
+  // fsync on a FIFO fails (EINVAL): sync() must report it, the way
+  // write() and read() report their errors, instead of dropping it.
+  std::system(("rm -rf " + kRoot + " && mkdir -p " + kRoot).c_str());
+  const std::string fifo = kRoot + "/sync.fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  {
+    resource::VirtualFile file(fast_fs(), fifo, /*for_write=*/true);
+    try {
+      file.sync();
+      ADD_FAILURE() << "sync() on a FIFO did not throw";
+    } catch (const sys::SystemError& e) {
+      EXPECT_NE(std::string(e.what()).find("fsync("), std::string::npos)
+          << e.what();
+    }
+  }
+  ::unlink(fifo.c_str());
 }
 
 TEST(Vfs, ReadAccountsBytes) {
