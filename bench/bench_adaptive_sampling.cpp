@@ -68,10 +68,10 @@ profile::Profile run_mode(watchers::SchedulerMode mode, const Phases& ph) {
 size_t burst_samples(const profile::Profile& p, const Phases& ph) {
   const auto* cpu = p.find_series("cpu");
   if (cpu == nullptr || cpu->empty()) return 0;
-  const double t0 = cpu->samples.front().timestamp;
+  const double t0 = cpu->samples.timestamp(0);
   size_t n = 0;
-  for (const auto& s : cpu->samples) {
-    const double rel = s.timestamp - t0;
+  for (const double t : cpu->samples.timestamps()) {
+    const double rel = t - t0;
     if (rel >= ph.idle_s && rel <= ph.idle_s + ph.burst_s + ph.hold_s) ++n;
   }
   return n;

@@ -12,7 +12,8 @@
 // A second, decode-bound section replays the same profile out of a
 // files-backed ProfileStore written once as JSON and once as SYNB
 // binary: the timed path is store read (parse/decode) + sample_deltas
-// (map walk vs columnar fast path) + the replay itself, so the binary
+// (the one bucketing kernel over the decoded columns) + the replay
+// itself, so the binary
 // codec's whole-pipeline win ("vs json" on the decode columns) is
 // measured where it matters.
 //
@@ -88,9 +89,7 @@ void dispatch_bound_section(size_t samples) {
   spec.source.sample_rate_hz = 100.0;
   spec.source.deltas[std::string(m::kMemAllocated)] = 1024.0;
   spec.source.deltas[std::string(m::kMemFreed)] = 1024.0;
-  // SYNB round trip: a stored profile arrives with its binary payload,
-  // so the plan builds its columnar table straight off the
-  // decode_columns() views.
+  // SYNB round trip: the profile a store read hands the replay.
   const profile::Profile p =
       profile::Profile::from_binary(spec.make_profile().to_binary());
   const double n = static_cast<double>(spec.source.samples);

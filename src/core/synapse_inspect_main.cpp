@@ -183,6 +183,8 @@ void print_store_stats(const ProfileStore& store) {
               static_cast<unsigned long long>(cache.decoded));
   std::printf("  cache bytes         : %llu\n",
               static_cast<unsigned long long>(cache.bytes));
+  std::printf("  unreadable skipped  : %llu\n",
+              static_cast<unsigned long long>(cache.unreadable));
 }
 
 int cmd_diff(const ProfileStore& store, const std::string& command,

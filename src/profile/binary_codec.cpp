@@ -1,11 +1,10 @@
 #include "profile/binary_codec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
-#include <set>
+
+#include "json/arena.hpp"
 
 namespace synapse::profile {
 
@@ -183,9 +182,9 @@ std::string encode_binary(const Profile& p) {
   // so reserve for them up front.
   size_t estimate = 12 + header.size() + 4;
   for (const auto& ts : p.series) {
-    estimate += 64 + ts.watcher.size() + ts.samples.size() * 8;
+    estimate += 64 + ts.watcher.size() +
+                ts.samples.size() * 8 * (1 + ts.samples.metrics().size());
   }
-  estimate += p.sample_count() * 4 * 8;  // rough metric-column volume
   out.reserve(estimate);
 
   out.append(kBinaryMagic, 4);
@@ -213,74 +212,53 @@ std::string encode_binary(const Profile& p) {
       put_f64(out, ts.gate.close_hold_s);
     }
 
-    // Interned metric dictionary: the sorted union of metric names across
-    // the series' samples. Sorted order matters — the columnar
-    // sample_deltas walk relies on it to reproduce the map walk exactly.
-    std::set<std::string_view> names;
-    for (const auto& s : ts.samples) {
-      for (const auto& [k, _] : s.values) names.insert(k);
-    }
-    const std::vector<std::string_view> dict(names.begin(), names.end());
-    put_u32(out, static_cast<uint32_t>(dict.size()));
-    for (const auto& n : dict) put_string(out, n);
+    // The metric dictionary is the series' columns, already sorted.
+    const SampleColumns& cols = ts.samples;
+    put_u32(out, static_cast<uint32_t>(cols.metrics().size()));
+    for (const auto& c : cols.metrics()) put_string(out, c.name);
 
-    const size_t count = ts.samples.size();
+    const size_t count = cols.size();
     put_u32(out, static_cast<uint32_t>(count));
-    for (const auto& s : ts.samples) put_f64(out, s.timestamp);
+    for (const double t : cols.timestamps()) put_f64(out, t);
 
-    // Stage all columns in one pass over the samples. Each sample's keys
-    // are a sorted subsequence of the sorted dictionary, so a merge walk
-    // finds every column index without any per-value lookup.
-    std::vector<std::string> columns(dict.size());
-    std::vector<std::vector<char>> bitmaps(
-        dict.size(), std::vector<char>((count + 7) / 8, 0));
-    std::vector<uint32_t> present(dict.size(), 0);
-    for (size_t i = 0; i < count; ++i) {
-      size_t d = 0;
-      for (const auto& [k, v] : ts.samples[i].values) {
-        while (dict[d] != k) ++d;
-        bitmaps[d][i >> 3] = static_cast<char>(
-            static_cast<unsigned char>(bitmaps[d][i >> 3]) | (1u << (i & 7)));
-        put_f64(columns[d], v);
-        ++present[d];
-        ++d;
-      }
-    }
-    for (size_t d = 0; d < dict.size(); ++d) {
-      const bool dense = present[d] == count;
+    for (const auto& c : cols.metrics()) {
+      const size_t present = static_cast<size_t>(
+          std::count(c.present.begin(), c.present.end(), uint8_t{1}));
+      const bool dense = present == count;
       out.push_back(dense ? '\1' : '\0');
-      if (!dense) out.append(bitmaps[d].data(), bitmaps[d].size());
-      put_u32(out, present[d]);
-      out += columns[d];
+      if (!dense) {
+        std::string bitmap((count + 7) / 8, '\0');
+        for (size_t i = 0; i < count; ++i) {
+          if (c.present[i] != 0) bitmap[i >> 3] |= static_cast<char>(1u << (i & 7));
+        }
+        out += bitmap;
+      }
+      put_u32(out, static_cast<uint32_t>(present));
+      for (size_t i = 0; i < count; ++i) {
+        if (c.present[i] != 0) put_f64(out, c.values[i]);
+      }
     }
   }
   return out;
 }
 
-double MetricColumnView::value(size_t packed_index) const {
-  return load_f64(values + packed_index * 8);
-}
-
-double SeriesColumnsView::timestamp(size_t sample_index) const {
-  return load_f64(timestamps + sample_index * 8);
-}
-
 namespace {
 
-/// Shared framing walk: header already consumed, cursor at series_count.
-/// `version` selects the per-series framing (v1 has no flags byte).
-ProfileColumnsView read_columns(Cursor& c, uint32_t version) {
-  ProfileColumnsView out;
+/// Decode the series framing into `p.series`: header already consumed,
+/// cursor at series_count. `version` selects the per-series framing (v1
+/// has no flags byte). Packed value columns are scattered into the
+/// one-value-per-sample SampleColumns layout.
+void read_series(Cursor& c, uint32_t version, Profile& p) {
   const uint32_t series_count = c.u32("series count");
   // Bound the reserve by what the payload could possibly frame (each
   // series costs >= 20 bytes) so a corrupt count throws CodecError
   // instead of attempting a multi-gigabyte allocation.
   c.need(static_cast<uint64_t>(series_count) * 20, "series table");
-  out.series.reserve(series_count);
+  p.series.reserve(series_count);
   for (uint32_t si = 0; si < series_count; ++si) {
-    SeriesColumnsView sv;
-    sv.watcher = read_string(c, "watcher name");
-    sv.rate_hz = c.f64("series rate");
+    TimeSeries ts;
+    ts.watcher = std::string(read_string(c, "watcher name"));
+    ts.sample_rate_hz = c.f64("series rate");
     if (version >= 2) {
       const uint8_t flags = c.u8("series flags");
       if (flags > 3) {
@@ -288,327 +266,129 @@ ProfileColumnsView read_columns(Cursor& c, uint32_t version) {
                          std::to_string(flags) + " at offset " +
                          std::to_string(c.offset() - 1));
       }
-      sv.variable_rate = (flags & 1u) != 0;
+      ts.variable_rate = (flags & 1u) != 0;
       if ((flags & 2u) != 0) {
-        sv.gate.floor_hz = c.f64("gate floor_hz");
-        sv.gate.burst_hz = c.f64("gate burst_hz");
-        sv.gate.open_threshold = c.f64("gate open_threshold");
-        sv.gate.close_hold_s = c.f64("gate close_hold_s");
+        ts.gate.floor_hz = c.f64("gate floor_hz");
+        ts.gate.burst_hz = c.f64("gate burst_hz");
+        ts.gate.open_threshold = c.f64("gate open_threshold");
+        ts.gate.close_hold_s = c.f64("gate close_hold_s");
       }
     }
     const uint32_t metric_count = c.u32("metric count");
     // Same guard: every metric needs >= 9 framing bytes downstream.
     c.need(static_cast<uint64_t>(metric_count) * 9, "metric table");
-    sv.metrics.resize(metric_count);
-    for (auto& m : sv.metrics) m.name = read_string(c, "metric name");
-    sv.sample_count = c.u32("sample count");
-    sv.timestamps =
-        c.raw(static_cast<uint64_t>(sv.sample_count) * 8, "timestamp column");
-    for (auto& m : sv.metrics) {
+    std::vector<MetricColumn> metrics(metric_count);
+    for (auto& m : metrics) {
+      m.name = std::string(read_string(c, "metric name"));
+      // Columns are looked up by binary search: the dictionary must be
+      // sorted and unique, as every encoder writes it.
+      if (&m != metrics.data() && !((&m - 1)->name < m.name)) {
+        throw CodecError("corrupt SYNB container: metric dictionary of \"" +
+                         ts.watcher + "\" is not sorted at \"" + m.name +
+                         "\"");
+      }
+    }
+    const uint32_t count = c.u32("sample count");
+    const char* raw_t =
+        c.raw(static_cast<uint64_t>(count) * 8, "timestamp column");
+    std::vector<double> timestamps(count);
+    for (uint32_t i = 0; i < count; ++i) timestamps[i] = load_f64(raw_t + i * 8);
+    for (auto& m : metrics) {
       const uint8_t dense = c.u8("density flag");
       if (dense > 1) {
         throw CodecError("corrupt SYNB container: density flag " +
                          std::to_string(dense) + " at offset " +
                          std::to_string(c.offset() - 1));
       }
-      if (!dense) {
-        m.presence = c.raw((static_cast<uint64_t>(sv.sample_count) + 7) / 8,
-                           "presence bitmap");
+      const char* presence =
+          dense ? nullptr
+                : c.raw((static_cast<uint64_t>(count) + 7) / 8,
+                        "presence bitmap");
+      const uint32_t value_count = c.u32("value count");
+      if (value_count > count || (dense && value_count != count)) {
+        throw CodecError("corrupt SYNB container: " +
+                         std::string(dense ? "dense " : "") + "metric \"" +
+                         m.name + "\" has " + std::to_string(value_count) +
+                         " values for " + std::to_string(count) + " samples");
       }
-      m.value_count = c.u32("value count");
-      if (m.value_count > sv.sample_count) {
-        throw CodecError("corrupt SYNB container: metric \"" +
-                         std::string(m.name) + "\" has " +
-                         std::to_string(m.value_count) + " values for " +
-                         std::to_string(sv.sample_count) + " samples");
+      const char* values =
+          c.raw(static_cast<uint64_t>(value_count) * 8, "metric value column");
+      m.values.assign(count, 0.0);
+      m.present.assign(count, dense ? 1 : 0);
+      size_t cursor = 0;
+      for (uint32_t i = 0; i < count; ++i) {
+        if (presence != nullptr) {
+          if (((static_cast<unsigned char>(presence[i >> 3]) >> (i & 7)) & 1u) == 0) {
+            continue;
+          }
+          if (cursor == value_count) {
+            throw CodecError("corrupt SYNB container: metric \"" + m.name +
+                             "\" presence bitmap claims more values than " +
+                             "the column holds (" +
+                             std::to_string(value_count) + ")");
+          }
+          m.present[i] = 1;
+        }
+        m.values[i] = load_f64(values + 8 * cursor++);
       }
-      if (dense && m.value_count != sv.sample_count) {
-        throw CodecError("corrupt SYNB container: dense metric \"" +
-                         std::string(m.name) + "\" has " +
-                         std::to_string(m.value_count) + " values for " +
-                         std::to_string(sv.sample_count) + " samples");
+      if (cursor != value_count) {
+        throw CodecError("corrupt SYNB container: metric \"" + m.name +
+                         "\" column holds " + std::to_string(value_count) +
+                         " values but the presence bitmap selects " +
+                         std::to_string(cursor));
       }
-      m.values = c.raw(static_cast<uint64_t>(m.value_count) * 8,
-                       "metric value column");
     }
-    out.series.push_back(std::move(sv));
+    ts.samples.assign(std::move(timestamps), std::move(metrics));
+    p.series.push_back(std::move(ts));
   }
   if (!c.done()) {
     throw CodecError("corrupt SYNB container: " +
                      std::to_string(c.offset()) + " byte(s) decoded, " +
                      "trailing garbage follows");
   }
-  return out;
 }
 
-}  // namespace
-
-ProfileColumnsView decode_columns(std::string_view data) {
-  Cursor c(data);
-  // Validates magic/version, skips the header.
-  const ContainerHead head = open_container(c);
-  return read_columns(c, head.version);
-}
-
-Profile decode_binary(std::string_view data) {
-  Cursor c(data);
-  const ContainerHead head = open_container(c);
-  const ProfileColumnsView cols = read_columns(c, head.version);
-
-  Profile p;
+/// Parse the JSON header through the arena parser, sized to the header
+/// so a decode costs one small slab.
+template <typename Extract>
+auto parse_header(std::string_view header, Extract extract) {
+  json::Arena arena(2 * header.size());
   try {
-    // The header is the series-less to_json shape; from_json handles it.
-    p = Profile::from_json(json::parse(std::string(head.header)));
+    return extract(json::parse(header, arena));
   } catch (const json::JsonError& e) {
     throw CodecError(std::string("corrupt SYNB container: bad JSON header: ") +
                      e.what());
   }
+}
 
-  p.series.reserve(cols.series.size());
-  for (const auto& sv : cols.series) {
-    TimeSeries ts;
-    ts.watcher = std::string(sv.watcher);
-    ts.sample_rate_hz = sv.rate_hz;
-    ts.variable_rate = sv.variable_rate;
-    ts.gate = sv.gate;
-    ts.samples.resize(sv.sample_count);
-    for (size_t i = 0; i < sv.sample_count; ++i) {
-      ts.samples[i].timestamp = sv.timestamp(i);
-    }
-    for (const auto& m : sv.metrics) {
-      const std::string name(m.name);
-      size_t cursor = 0;
-      for (size_t i = 0; i < sv.sample_count; ++i) {
-        if (!m.present(i)) continue;
-        if (cursor >= m.value_count) {
-          throw CodecError("corrupt SYNB container: metric \"" + name +
-                           "\" presence bitmap claims more values than the " +
-                           "column holds (" + std::to_string(m.value_count) +
-                           ")");
-        }
-        // hint: metric names are visited in sorted dictionary order, so
-        // each sample map grows by appending at its end.
-        auto& values = ts.samples[i].values;
-        values.emplace_hint(values.end(), name, m.value(cursor++));
-      }
-      if (cursor != m.value_count) {
-        throw CodecError("corrupt SYNB container: metric \"" + name + "\" " +
-                         "column holds " + std::to_string(m.value_count) +
-                         " values but the presence bitmap selects " +
-                         std::to_string(cursor));
-      }
-    }
-    p.series.push_back(std::move(ts));
-  }
+}  // namespace
+
+Profile decode_binary(std::string_view data) {
+  Cursor c(data);
+  const ContainerHead head = open_container(c);
+  // The header is the series-less to_json shape; from_arena handles it.
+  Profile p = parse_header(head.header, [](const json::ArenaValue& v) {
+    return Profile::from_arena(v);
+  });
+  read_series(c, head.version, p);
   return p;
 }
 
 BinaryProfileInfo decode_binary_identity(std::string_view data) {
   Cursor c(data);
   const std::string_view header = open_container(c).header;
-  BinaryProfileInfo info;
-  try {
-    const json::Value v = json::parse(std::string(header));
+  return parse_header(header, [](const json::ArenaValue& v) {
+    BinaryProfileInfo info;
     info.command = v.get_or("command", std::string());
     if (v.contains("tags")) {
-      for (const auto& t : v["tags"].as_array()) {
-        info.tags.push_back(t.as_string());
+      const json::ArenaValue& jt = v["tags"];
+      for (const auto* t = jt.items_begin(); t != jt.items_end(); ++t) {
+        info.tags.emplace_back(t->as_string());
       }
     }
     info.created_at = v.get_or("created_at", 0.0);
-  } catch (const json::JsonError& e) {
-    throw CodecError(std::string("corrupt SYNB container: bad JSON header: ") +
-                     e.what());
-  }
-  return info;
-}
-
-namespace {
-
-/// One accumulation lane per metric name, shared across series (the map
-/// walk accumulates into one slot per (bucket, metric) across series
-/// too). `present` distinguishes "never touched" from "delta sums to
-/// zero", matching map-key insertion semantics.
-struct Accum {
-  bool instantaneous = false;
-  std::vector<double> value;
-  std::vector<uint8_t> present;
-};
-
-/// The shared lane walk: per-slot float operations happen in the same
-/// (series, sample) order as the map walk, so the two paths are
-/// bit-identical — a property the round-trip tests pin down. `bucket_of`
-/// supplies the bucketing (fixed period or timestamp-union).
-template <typename BucketFn>
-std::map<std::string, Accum, std::less<>> accumulate_lanes(
-    const ProfileColumnsView& columns, size_t buckets, BucketFn bucket_of) {
-  std::map<std::string, Accum, std::less<>> accums;
-  std::vector<size_t> bucket;
-  for (const auto& sv : columns.series) {
-    bucket.resize(sv.sample_count);
-    for (size_t i = 0; i < sv.sample_count; ++i) {
-      bucket[i] = bucket_of(sv.timestamp(i));
-    }
-    for (const auto& mc : sv.metrics) {
-      auto it = accums.find(mc.name);
-      if (it == accums.end()) {
-        it = accums.emplace(std::string(mc.name), Accum{}).first;
-        it->second.instantaneous = is_instantaneous_metric(mc.name);
-        it->second.value.assign(buckets, 0.0);
-        it->second.present.assign(buckets, 0);
-      }
-      Accum& acc = it->second;
-      size_t cursor = 0;
-      if (acc.instantaneous) {
-        // Map path: slot = max(slot, v), key inserted on every touch.
-        for (size_t i = 0; i < sv.sample_count; ++i) {
-          if (!mc.present(i)) continue;
-          const double v = mc.value(cursor++);
-          const size_t b = bucket[i];
-          acc.present[b] = 1;
-          acc.value[b] = std::max(acc.value[b], v);
-        }
-      } else {
-        // Map path: per-series last_cumulative differencing, key inserted
-        // only when a positive delta lands.
-        double prev = 0.0;
-        for (size_t i = 0; i < sv.sample_count; ++i) {
-          if (!mc.present(i)) continue;
-          const double v = mc.value(cursor++);
-          const double delta = v - prev;
-          prev = v;
-          if (delta > 0) {
-            const size_t b = bucket[i];
-            acc.value[b] += delta;
-            acc.present[b] = 1;
-          }
-        }
-      }
-    }
-  }
-  return accums;
-}
-
-/// Lanes -> SampleDelta list. accums iterates in sorted name order, so
-/// every per-bucket map is built by appending at its end.
-std::vector<SampleDelta> emit_deltas(
-    const std::map<std::string, Accum, std::less<>>& accums, size_t buckets) {
-  std::vector<SampleDelta> out(buckets);
-  for (const auto& [name, acc] : accums) {
-    for (size_t b = 0; b < buckets; ++b) {
-      if (acc.present[b]) {
-        out[b].deltas.emplace_hint(out[b].deltas.end(), name, acc.value[b]);
-      }
-    }
-  }
-  return out;
-}
-
-/// The bucketing + accumulation shared by sample_deltas_from_columns
-/// and delta_table_from_columns: per-bucket durations plus one Accum
-/// lane per metric. Empty durations = no samples (empty output).
-struct LaneAccumulation {
-  std::vector<double> durations;
-  std::map<std::string, Accum, std::less<>> accums;
-};
-
-LaneAccumulation accumulate_columns(const ProfileColumnsView& columns,
-                                    double profile_rate_hz) {
-  // Mirror of Profile::sample_deltas() over flat columns; see
-  // accumulate_lanes for the bit-identity contract.
-  LaneAccumulation out;
-  double rate = profile_rate_hz;
-  for (const auto& sv : columns.series) rate = std::max(rate, sv.rate_hz);
-
-  bool variable = false;
-  for (const auto& sv : columns.series) variable = variable || sv.variable_rate;
-
-  if (variable) {
-    // Timestamp-union bucketing: same edges, same durations, same
-    // exact-double binary search as the map walk's variable branch.
-    std::vector<double> edges;
-    size_t total = 0;
-    for (const auto& sv : columns.series) total += sv.sample_count;
-    edges.reserve(total);
-    for (const auto& sv : columns.series) {
-      for (size_t i = 0; i < sv.sample_count; ++i) {
-        edges.push_back(sv.timestamp(i));
-      }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    if (edges.empty()) return out;
-
-    const auto bucket_of = [&edges](double t) {
-      return static_cast<size_t>(
-          std::lower_bound(edges.begin(), edges.end(), t) - edges.begin());
-    };
-    out.accums = accumulate_lanes(columns, edges.size(), bucket_of);
-    out.durations.resize(edges.size());
-    out.durations[0] = rate > 0.0
-                           ? 1.0 / rate
-                           : (edges.size() > 1 ? edges[1] - edges[0] : 0.0);
-    for (size_t j = 1; j < edges.size(); ++j) {
-      out.durations[j] = edges[j] - edges[j - 1];
-    }
-    return out;
-  }
-
-  if (rate <= 0.0) return out;
-  const double period = 1.0 / rate;
-
-  double origin = std::numeric_limits<double>::infinity();
-  for (const auto& sv : columns.series) {
-    if (sv.sample_count > 0) origin = std::min(origin, sv.timestamp(0));
-  }
-  if (!std::isfinite(origin)) return out;
-
-  auto bucket_of = [origin, period](double t) {
-    return static_cast<size_t>(std::max(0.0, (t - origin) / period + 1e-9));
-  };
-
-  size_t max_bucket = 0;
-  for (const auto& sv : columns.series) {
-    for (size_t i = 0; i < sv.sample_count; ++i) {
-      max_bucket = std::max(max_bucket, bucket_of(sv.timestamp(i)));
-    }
-  }
-  const size_t buckets = max_bucket + 1;
-
-  out.accums = accumulate_lanes(columns, buckets, bucket_of);
-  out.durations.assign(buckets, period);
-  return out;
-}
-
-}  // namespace
-
-std::vector<SampleDelta> sample_deltas_from_columns(
-    const ProfileColumnsView& columns, double profile_rate_hz) {
-  LaneAccumulation acc = accumulate_columns(columns, profile_rate_hz);
-  auto out = emit_deltas(acc.accums, acc.durations.size());
-  for (size_t i = 0; i < out.size(); ++i) out[i].duration = acc.durations[i];
-  return out;
-}
-
-DeltaTable delta_table_from_columns(const ProfileColumnsView& columns,
-                                    double profile_rate_hz) {
-  LaneAccumulation acc = accumulate_columns(columns, profile_rate_hz);
-  // The accumulation map iterates in sorted name order — exactly the
-  // LaneTable's dictionary order — and its per-bucket value/present
-  // vectors ARE the table's columns; they move straight in.
-  std::vector<std::string> names;
-  std::vector<std::vector<double>> values;
-  std::vector<std::vector<uint8_t>> present;
-  names.reserve(acc.accums.size());
-  values.reserve(acc.accums.size());
-  present.reserve(acc.accums.size());
-  for (auto& [name, lane] : acc.accums) {
-    names.push_back(name);
-    values.push_back(std::move(lane.value));
-    present.push_back(std::move(lane.present));
-  }
-  return DeltaTable(LaneTable(std::move(names)), std::move(acc.durations),
-                    std::move(values), std::move(present));
+    return info;
+  });
 }
 
 // --- base64 -----------------------------------------------------------------

@@ -8,10 +8,9 @@
 // self-describing prefix — and stores the high-volume sample payload as
 // per-series columns: an interned metric-name dictionary, one timestamp
 // column, and one contiguous little-endian f64 column per metric (with
-// a presence bitmap when a metric is absent from some samples). Decode
-// therefore walks flat arrays instead of re-hashing one string→double
-// map per sample, which is what dominates the replay producer and the
-// store ingest path.
+// a presence bitmap when a metric is absent from some samples). These
+// are the in-memory SampleColumns of profile.hpp, so encode and decode
+// copy columns instead of building or walking one map per sample.
 //
 // Container layout (all integers little-endian):
 //
@@ -43,7 +42,6 @@
 #include <string_view>
 #include <vector>
 
-#include "profile/delta_frame.hpp"
 #include "profile/profile.hpp"
 
 namespace synapse::profile {
@@ -68,10 +66,9 @@ bool looks_like_binary_profile(std::string_view data);
 /// Encode a profile into a SYNB blob.
 std::string encode_binary(const Profile& p);
 
-/// Decode a SYNB blob into a fully materialized Profile. Throws
-/// CodecError on malformed input. Prefer Profile::from_binary, which
-/// additionally retains the blob for the columnar sample_deltas() fast
-/// path.
+/// Decode a SYNB blob into a Profile (Profile::from_binary). The
+/// columns are copied out, so `data` may be released right after.
+/// Throws CodecError on malformed input.
 Profile decode_binary(std::string_view data);
 
 /// Identity fields straight from the JSON header — listings and
@@ -83,70 +80,6 @@ struct BinaryProfileInfo {
   double created_at = 0.0;
 };
 BinaryProfileInfo decode_binary_identity(std::string_view data);
-
-// --- columnar views ---------------------------------------------------------
-// Views point into the encoded buffer (no copies of the bulk data); they
-// are valid only while that buffer is. Element accessors go through
-// memcpy so unaligned column offsets are safe on every target.
-
-/// One metric column of one series. Values are packed: values[k] is the
-/// value of the k-th sample for which present() is true.
-struct MetricColumnView {
-  std::string_view name;
-  const char* presence = nullptr;  ///< bitmap; nullptr when dense
-  const char* values = nullptr;    ///< f64 little-endian, packed
-  uint32_t value_count = 0;
-
-  bool present(size_t sample_index) const {
-    if (presence == nullptr) return true;
-    return (static_cast<unsigned char>(presence[sample_index >> 3]) >>
-            (sample_index & 7)) &
-           1u;
-  }
-  double value(size_t packed_index) const;
-};
-
-/// The columns of one TimeSeries.
-struct SeriesColumnsView {
-  std::string_view watcher;
-  double rate_hz = 0.0;
-  bool variable_rate = false;  ///< v2 flag bit0; v1 series are fixed-rate
-  SeriesGate gate;             ///< v2 gate params (all zero when absent)
-  const char* timestamps = nullptr;  ///< f64 little-endian
-  uint32_t sample_count = 0;
-  std::vector<MetricColumnView> metrics;
-
-  double timestamp(size_t sample_index) const;
-};
-
-/// Column views over a whole SYNB blob. The JSON header is skipped, not
-/// parsed — obtaining the view costs a bounds-checked walk over the
-/// series framing only, which is what makes it usable per-replay on the
-/// emulator's producer thread.
-struct ProfileColumnsView {
-  std::vector<SeriesColumnsView> series;
-};
-
-/// Build column views over `data` (which must outlive the view).
-/// Throws CodecError on malformed input.
-ProfileColumnsView decode_columns(std::string_view data);
-
-/// sample_deltas computed straight from columns, bit-identical to the
-/// map-walking Profile::sample_deltas() (same bucketing, same float
-/// accumulation order) — including the variable-rate timestamp-union
-/// bucketing when any series carries the variable_rate flag.
-/// `profile_rate_hz` is the profile-level rate the per-series rates are
-/// maxed against.
-std::vector<SampleDelta> sample_deltas_from_columns(
-    const ProfileColumnsView& columns, double profile_rate_hz);
-
-/// The same accumulation emitted as a columnar DeltaTable instead of
-/// per-sample maps (delta_frame.hpp): the compiled-replay input. Shares
-/// the bucketing and float-op order with sample_deltas_from_columns, so
-/// table cell (lane, row) is bit-identical to the map walk's value and
-/// presence mirrors map-key existence — no SampleDelta is materialized.
-DeltaTable delta_table_from_columns(const ProfileColumnsView& columns,
-                                    double profile_rate_hz);
 
 // --- base64 -----------------------------------------------------------------
 // Used by the docstore/cluster backends to carry SYNB blobs inside JSON

@@ -1,7 +1,6 @@
 #include "profile/delta_frame.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace synapse::profile {
 
@@ -20,38 +19,13 @@ SampleDelta DeltaTable::unbox(size_t row) const {
   SampleDelta out;
   out.duration = durations_[row];
   // Lanes iterate in sorted name order, so the map is built by appending
-  // at its end — the same construction emit_deltas uses.
+  // at its end.
   for (uint32_t lane = 0; lane < lanes_.size(); ++lane) {
     if (present_[lane][row] == 0) continue;
     out.deltas.emplace_hint(out.deltas.end(), lanes_.name(lane),
                             values_[lane][row]);
   }
   return out;
-}
-
-DeltaTable DeltaTable::from_deltas(const std::vector<SampleDelta>& deltas) {
-  std::set<std::string, std::less<>> names;
-  for (const auto& d : deltas) {
-    for (const auto& [k, _] : d.deltas) names.insert(k);
-  }
-  LaneTable lanes(std::vector<std::string>(names.begin(), names.end()));
-
-  const size_t rows = deltas.size();
-  std::vector<double> durations(rows, 0.0);
-  std::vector<std::vector<double>> values(lanes.size(),
-                                          std::vector<double>(rows, 0.0));
-  std::vector<std::vector<uint8_t>> present(lanes.size(),
-                                            std::vector<uint8_t>(rows, 0));
-  for (size_t row = 0; row < rows; ++row) {
-    durations[row] = deltas[row].duration;
-    for (const auto& [k, v] : deltas[row].deltas) {
-      const uint32_t lane = lanes.id(k);
-      values[lane][row] = v;
-      present[lane][row] = 1;
-    }
-  }
-  return DeltaTable(std::move(lanes), std::move(durations), std::move(values),
-                    std::move(present));
 }
 
 }  // namespace synapse::profile

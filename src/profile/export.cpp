@@ -36,15 +36,17 @@ std::string series_to_csv(const Profile& profile) {
     // Measured, not nominal: for variable-rate (gated) series the two
     // diverge, and the measured one is what plots should annotate.
     const std::string rate = format_double(ts.effective_rate_hz());
-    for (const auto& s : ts.samples) {
-      for (const auto& [metric, value] : s.values) {
+    const SampleColumns& cols = ts.samples;
+    for (size_t row = 0; row < cols.size(); ++row) {
+      for (const auto& c : cols.metrics()) {
+        if (c.present[row] == 0) continue;
         out += csv_field(ts.watcher);
         out += ',';
-        out += format_double(s.timestamp);
+        out += format_double(cols.timestamp(row));
         out += ',';
-        out += csv_field(metric);
+        out += csv_field(c.name);
         out += ',';
-        out += format_double(value);
+        out += format_double(c.values[row]);
         out += ',';
         out += rate;
         out += '\n';

@@ -4,13 +4,51 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "json/arena.hpp"
 #include "profile/binary_codec.hpp"
+#include "profile/delta_frame.hpp"
 #include "profile/metrics.hpp"
-#include "sys/mmap_file.hpp"
 
 namespace synapse::profile {
+
+namespace {
+
+/// Bytes one heap allocation of `n` bytes occupies in a glibc-style
+/// allocator (8-byte chunk header, 16-byte granularity, 32-byte
+/// minimum chunk); 0 for no allocation.
+size_t chunk_bytes(size_t n) {
+  return n == 0 ? 0 : std::max<size_t>(32, (n + 8 + 15) & ~size_t{15});
+}
+
+size_t heap_bytes_of(const std::string& s) {
+  // Short strings live inside the object (libstdc++ SSO: 15 chars).
+  return s.capacity() > 15 ? chunk_bytes(s.capacity() + 1) : 0;
+}
+
+template <typename T>
+size_t heap_bytes_of(const std::vector<T>& v) {
+  return chunk_bytes(v.capacity() * sizeof(T));
+}
+
+size_t heap_bytes_of(const std::map<std::string, double>& m) {
+  // rb-tree node: colour + three links, then the key/value pair.
+  constexpr size_t kNode = 4 * sizeof(void*) +
+                           sizeof(std::pair<const std::string, double>);
+  size_t bytes = 0;
+  for (const auto& [k, v] : m) {
+    (void)v;
+    bytes += chunk_bytes(kNode) + heap_bytes_of(k);
+  }
+  return bytes;
+}
+
+bool by_name(const MetricColumn& c, std::string_view name) {
+  return c.name < name;
+}
+
+}  // namespace
 
 double Sample::get(std::string_view metric, double dflt) const {
   const auto it = values.find(std::string(metric));
@@ -21,37 +59,122 @@ void Sample::set(std::string_view metric, double value) {
   values[std::string(metric)] = value;
 }
 
+// --- SampleColumns ------------------------------------------------------------
+
+void SampleColumns::push_back(const Sample& sample) {
+  const size_t row = append_row(sample.timestamp);
+  for (const auto& [metric, value] : sample.values) set(row, metric, value);
+}
+
+size_t SampleColumns::append_row(double timestamp) {
+  timestamps_.push_back(timestamp);
+  for (auto& c : metrics_) {
+    c.values.push_back(0.0);
+    c.present.push_back(0);
+  }
+  return timestamps_.size() - 1;
+}
+
+void SampleColumns::reserve(size_t rows) {
+  timestamps_.reserve(rows);
+  for (auto& c : metrics_) {
+    c.values.reserve(rows);
+    c.present.reserve(rows);
+  }
+}
+
+const MetricColumn* SampleColumns::find(std::string_view metric) const {
+  const auto it =
+      std::lower_bound(metrics_.begin(), metrics_.end(), metric, by_name);
+  return it == metrics_.end() || it->name != metric ? nullptr : &*it;
+}
+
+double SampleColumns::get(size_t row, std::string_view metric,
+                          double dflt) const {
+  const MetricColumn* c = find(metric);
+  return c != nullptr && c->present[row] != 0 ? c->values[row] : dflt;
+}
+
+MetricColumn& SampleColumns::column(std::string_view metric) {
+  auto it = std::lower_bound(metrics_.begin(), metrics_.end(), metric, by_name);
+  if (it == metrics_.end() || it->name != metric) {
+    // A new metric reads as absent in every earlier row. Its columns
+    // take the row reserve of the timestamps, so a decoder that
+    // reserved once never regrows them.
+    MetricColumn c{std::string(metric), {}, {}};
+    c.values.reserve(timestamps_.capacity());
+    c.present.reserve(timestamps_.capacity());
+    c.values.resize(timestamps_.size(), 0.0);
+    c.present.resize(timestamps_.size(), 0);
+    it = metrics_.insert(it, std::move(c));
+  }
+  return *it;
+}
+
+void SampleColumns::set(size_t row, std::string_view metric, double value) {
+  MetricColumn& c = column(metric);
+  c.values[row] = value;
+  c.present[row] = 1;
+}
+
+void SampleColumns::erase_metric(std::string_view metric) {
+  const auto it =
+      std::lower_bound(metrics_.begin(), metrics_.end(), metric, by_name);
+  if (it != metrics_.end() && it->name == metric) metrics_.erase(it);
+}
+
+void SampleColumns::assign(std::vector<double> timestamps,
+                           std::vector<MetricColumn> metrics) {
+  timestamps_ = std::move(timestamps);
+  metrics_ = std::move(metrics);
+}
+
+size_t SampleColumns::heap_bytes() const {
+  size_t bytes = heap_bytes_of(timestamps_) + heap_bytes_of(metrics_);
+  for (const auto& c : metrics_) {
+    bytes += heap_bytes_of(c.name) + heap_bytes_of(c.values) +
+             heap_bytes_of(c.present);
+  }
+  return bytes;
+}
+
+// --- TimeSeries -----------------------------------------------------------------
+
 double TimeSeries::last(std::string_view metric) const {
-  for (auto it = samples.rbegin(); it != samples.rend(); ++it) {
-    const auto found = it->values.find(std::string(metric));
-    if (found != it->values.end()) return found->second;
+  const MetricColumn* c = samples.find(metric);
+  if (c == nullptr) return 0.0;
+  for (size_t row = samples.size(); row-- > 0;) {
+    if (c->present[row] != 0) return c->values[row];
   }
   return 0.0;
 }
 
 double TimeSeries::max(std::string_view metric) const {
+  // Absent cells hold 0.0, which is what an absent sample counts as.
   double best = 0.0;
-  for (const auto& s : samples) {
-    best = std::max(best, s.get(metric));
+  if (const MetricColumn* c = samples.find(metric)) {
+    for (const double v : c->values) best = std::max(best, v);
   }
   return best;
 }
 
 double TimeSeries::effective_rate_hz() const {
   if (samples.size() < 2) return sample_rate_hz;
-  const double span = samples.back().timestamp - samples.front().timestamp;
+  const auto& t = samples.timestamps();
+  const double span = t.back() - t.front();
   if (!(span > 0.0)) return sample_rate_hz;
-  return static_cast<double>(samples.size() - 1) / span;
+  return static_cast<double>(t.size() - 1) / span;
 }
 
 GapStats TimeSeries::gap_stats() const {
   GapStats g;
-  if (samples.size() < 2) return g;
-  g.gaps = samples.size() - 1;
+  const auto& t = samples.timestamps();
+  if (t.size() < 2) return g;
+  g.gaps = t.size() - 1;
   g.min_s = std::numeric_limits<double>::infinity();
   double sum = 0.0;
-  for (size_t i = 1; i < samples.size(); ++i) {
-    const double gap = samples[i].timestamp - samples[i - 1].timestamp;
+  for (size_t i = 1; i < t.size(); ++i) {
+    const double gap = t[i] - t[i - 1];
     g.min_s = std::min(g.min_s, gap);
     g.max_s = std::max(g.max_s, gap);
     sum += gap;
@@ -130,42 +253,66 @@ bool is_instantaneous_metric(std::string_view metric) {
 
 namespace {
 
-/// True when the retained SYNB payload still describes `series`: same
-/// watchers, rates, sample counts and timestamps. Cheap relative to a
-/// delta computation (no per-sample maps are touched), and the guard
-/// that lets sample_deltas() trust the columns.
-bool matches_payload_shape(const ProfileColumnsView& cols,
-                           const std::vector<TimeSeries>& series) {
-  if (cols.series.size() != series.size()) return false;
-  for (size_t i = 0; i < series.size(); ++i) {
-    const SeriesColumnsView& sv = cols.series[i];
-    const TimeSeries& ts = series[i];
-    if (sv.watcher != ts.watcher || sv.rate_hz != ts.sample_rate_hz ||
-        sv.variable_rate != ts.variable_rate ||
-        sv.sample_count != ts.samples.size()) {
-      return false;
-    }
-    for (size_t j = 0; j < ts.samples.size(); ++j) {
-      if (sv.timestamp(j) != ts.samples[j].timestamp) return false;
+/// The bucketing kernel's accumulation pass: one lane per metric name
+/// across all series. Per cell, float operations happen in (series,
+/// sample) order — cumulative metrics differenced per series and summed
+/// when positive, instantaneous ones maxed — and `present` marks the
+/// cells an operation touched (a cumulative delta counts only when
+/// positive). `bucket_of` maps a timestamp to its row.
+template <typename BucketFn>
+DeltaTable accumulate(const std::vector<TimeSeries>& series,
+                      std::vector<double> durations, BucketFn bucket_of) {
+  std::vector<std::string> names;
+  for (const auto& ts : series) {
+    for (const auto& c : ts.samples.metrics()) names.push_back(c.name);
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  LaneTable lanes(std::move(names));
+
+  const size_t rows = durations.size();
+  std::vector<std::vector<double>> values(lanes.size(),
+                                          std::vector<double>(rows, 0.0));
+  std::vector<std::vector<uint8_t>> present(lanes.size(),
+                                            std::vector<uint8_t>(rows, 0));
+  std::vector<size_t> bucket;
+  for (const auto& ts : series) {
+    const auto& t = ts.samples.timestamps();
+    bucket.resize(t.size());
+    for (size_t i = 0; i < t.size(); ++i) bucket[i] = bucket_of(t[i]);
+    for (const auto& c : ts.samples.metrics()) {
+      const uint32_t lane = lanes.id(c.name);
+      std::vector<double>& value = values[lane];
+      std::vector<uint8_t>& seen = present[lane];
+      if (is_instantaneous_metric(c.name)) {
+        for (size_t i = 0; i < t.size(); ++i) {
+          if (c.present[i] == 0) continue;
+          const size_t b = bucket[i];
+          seen[b] = 1;
+          value[b] = std::max(value[b], c.values[i]);
+        }
+      } else {
+        double prev = 0.0;
+        for (size_t i = 0; i < t.size(); ++i) {
+          if (c.present[i] == 0) continue;
+          const double delta = c.values[i] - prev;
+          prev = c.values[i];
+          if (delta > 0) {
+            const size_t b = bucket[i];
+            value[b] += delta;
+            seen[b] = 1;
+          }
+        }
+      }
     }
   }
-  return true;
+  return DeltaTable(std::move(lanes), std::move(durations), std::move(values),
+                    std::move(present));
 }
 
 }  // namespace
 
-std::vector<SampleDelta> Profile::sample_deltas() const {
-  if (binary_) {
-    try {
-      const ProfileColumnsView cols = decode_columns(binary_->view());
-      if (matches_payload_shape(cols, series)) {
-        return sample_deltas_from_columns(cols, sample_rate_hz);
-      }
-    } catch (const CodecError&) {
-      // A damaged retained payload is not fatal — the materialized
-      // series below is authoritative.
-    }
-  }
+DeltaTable Profile::delta_table() const {
   // Period resolution follows the fastest recorded series: with
   // per-watcher rate overrides the high-rate series defines the replay
   // granularity, slower series simply contribute to fewer buckets.
@@ -175,53 +322,31 @@ std::vector<SampleDelta> Profile::sample_deltas() const {
   if (variable_rate()) {
     // Variable-rate profiles: the recorded timestamps ARE the buckets.
     // Edges = sorted unique union of every sample instant across
-    // watchers; each delta's duration is the recorded gap to the
-    // previous edge, so the replay trajectory (burst density, idle
-    // stretches) survives exactly. Bucket lookup is an exact-double
-    // binary search — a sample always finds its own timestamp.
+    // watchers; each row's duration is the recorded gap to the previous
+    // edge, so the replay trajectory (burst density, idle stretches)
+    // survives exactly. Bucket lookup is an exact-double binary search —
+    // a sample always finds its own timestamp.
     std::vector<double> edges;
-    size_t total = 0;
-    for (const auto& ts : series) total += ts.samples.size();
-    edges.reserve(total);
     for (const auto& ts : series) {
-      for (const auto& s : ts.samples) edges.push_back(s.timestamp);
+      const auto& t = ts.samples.timestamps();
+      edges.insert(edges.end(), t.begin(), t.end());
     }
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     if (edges.empty()) return {};
 
-    std::vector<SampleDelta> out(edges.size());
+    std::vector<double> durations(edges.size());
     // The first bucket has no predecessor; fall back to the nominal
     // (burst) period, then to the first recorded gap.
-    out[0].duration = rate > 0.0
-                          ? 1.0 / rate
-                          : (edges.size() > 1 ? edges[1] - edges[0] : 0.0);
+    durations[0] = rate > 0.0 ? 1.0 / rate
+                              : (edges.size() > 1 ? edges[1] - edges[0] : 0.0);
     for (size_t j = 1; j < edges.size(); ++j) {
-      out[j].duration = edges[j] - edges[j - 1];
+      durations[j] = edges[j] - edges[j - 1];
     }
-
-    const auto bucket_of = [&edges](double t) {
+    return accumulate(series, std::move(durations), [&edges](double t) {
       return static_cast<size_t>(
           std::lower_bound(edges.begin(), edges.end(), t) - edges.begin());
-    };
-    for (const auto& ts : series) {
-      std::map<std::string, double> last_cumulative;
-      for (const auto& s : ts.samples) {
-        const size_t b = bucket_of(s.timestamp);
-        for (const auto& [metric, value] : s.values) {
-          if (is_instantaneous_metric(metric)) {
-            auto& slot = out[b].deltas[metric];
-            slot = std::max(slot, value);
-          } else {
-            double& prev = last_cumulative[metric];
-            const double delta = value - prev;
-            prev = value;
-            if (delta > 0) out[b].deltas[metric] += delta;
-          }
-        }
-      }
-    }
-    return out;
+    });
   }
 
   if (rate <= 0.0) return {};
@@ -230,9 +355,7 @@ std::vector<SampleDelta> Profile::sample_deltas() const {
   // Establish the profile time origin: earliest timestamp seen anywhere.
   double origin = std::numeric_limits<double>::infinity();
   for (const auto& ts : series) {
-    if (!ts.samples.empty()) {
-      origin = std::min(origin, ts.samples.front().timestamp);
-    }
+    if (!ts.samples.empty()) origin = std::min(origin, ts.samples.timestamp(0));
   }
   if (!std::isfinite(origin)) return {};
 
@@ -242,54 +365,27 @@ std::vector<SampleDelta> Profile::sample_deltas() const {
   // types, which is all the emulation semantics require.
   // The epsilon absorbs floating-point jitter when timestamps land
   // exactly on period boundaries (synthetic profiles do).
-  auto bucket_of = [origin, period](double t) {
-    return static_cast<size_t>(
-        std::max(0.0, (t - origin) / period + 1e-9));
+  const auto bucket_of = [origin, period](double t) {
+    return static_cast<size_t>(std::max(0.0, (t - origin) / period + 1e-9));
   };
-
   size_t max_bucket = 0;
   for (const auto& ts : series) {
-    for (const auto& s : ts.samples) {
-      max_bucket = std::max(max_bucket, bucket_of(s.timestamp));
+    for (const double t : ts.samples.timestamps()) {
+      max_bucket = std::max(max_bucket, bucket_of(t));
     }
   }
-
-  std::vector<SampleDelta> out(max_bucket + 1);
-  for (auto& d : out) d.duration = period;
-
-  for (const auto& ts : series) {
-    std::map<std::string, double> last_cumulative;
-    for (const auto& s : ts.samples) {
-      const size_t b = bucket_of(s.timestamp);
-      for (const auto& [metric, value] : s.values) {
-        if (is_instantaneous_metric(metric)) {
-          auto& slot = out[b].deltas[metric];
-          slot = std::max(slot, value);
-        } else {
-          double& prev = last_cumulative[metric];
-          const double delta = value - prev;
-          prev = value;
-          if (delta > 0) out[b].deltas[metric] += delta;
-        }
-      }
-    }
-  }
-  return out;
+  return accumulate(series, std::vector<double>(max_bucket + 1, period),
+                    bucket_of);
 }
 
-DeltaTable Profile::delta_table() const {
-  if (binary_) {
-    try {
-      const ProfileColumnsView cols = decode_columns(binary_->view());
-      if (matches_payload_shape(cols, series)) {
-        return delta_table_from_columns(cols, sample_rate_hz);
-      }
-    } catch (const CodecError&) {
-      // Same contract as sample_deltas(): a damaged retained payload is
-      // not fatal, the materialized series below is authoritative.
-    }
+std::vector<SampleDelta> Profile::sample_deltas() const {
+  const DeltaTable table = delta_table();
+  std::vector<SampleDelta> out;
+  out.reserve(table.rows());
+  for (size_t row = 0; row < table.rows(); ++row) {
+    out.push_back(table.unbox(row));
   }
-  return DeltaTable::from_deltas(sample_deltas());
+  return out;
 }
 
 void Profile::compute_derived() {
@@ -343,11 +439,14 @@ json::Value Profile::to_json() const {
       jts["gate"] = std::move(jg);
     }
     json::Array jsamples;
-    for (const auto& s : ts.samples) {
+    const SampleColumns& cols = ts.samples;
+    for (size_t row = 0; row < cols.size(); ++row) {
       json::Object js;
-      js["t"] = s.timestamp;
+      js["t"] = cols.timestamp(row);
       json::Object jv;
-      for (const auto& [k, v] : s.values) jv[k] = v;
+      for (const auto& c : cols.metrics()) {
+        if (c.present[row] != 0) jv[c.name] = c.values[row];
+      }
       js["v"] = std::move(jv);
       jsamples.push_back(json::Value(std::move(js)));
     }
@@ -389,13 +488,13 @@ Profile Profile::from_json(const json::Value& v) {
         ts.gate.open_threshold = jg.get_or("open_threshold", 0.0);
         ts.gate.close_hold_s = jg.get_or("close_hold_s", 0.0);
       }
-      for (const auto& js : jts["samples"].as_array()) {
-        Sample s;
-        s.timestamp = js.get_or("t", 0.0);
+      const auto& jsamples = jts["samples"].as_array();
+      ts.samples.reserve(jsamples.size());
+      for (const auto& js : jsamples) {
+        const size_t row = ts.samples.append_row(js.get_or("t", 0.0));
         for (const auto& [k, val] : js["v"].as_object()) {
-          s.values[k] = val.as_double();
+          ts.samples.set(row, k, val.as_double());
         }
-        ts.samples.push_back(std::move(s));
       }
       p.series.push_back(std::move(ts));
     }
@@ -461,17 +560,11 @@ Profile Profile::from_arena(const json::ArenaValue& v) {
       ts.samples.reserve(jsamples.size());
       for (const auto* js = jsamples.items_begin();
            js != jsamples.items_end(); ++js) {
-        Sample s;
-        s.timestamp = js->get_or("t", 0.0);
+        const size_t row = ts.samples.append_row(js->get_or("t", 0.0));
         const json::ArenaValue& jv = (*js)["v"];
-        // Parsed member order is document order; profile documents are
-        // written from sorted maps, so appending at end is the common
-        // case and emplace_hint degrades gracefully otherwise.
         for (const auto* m = jv.members_begin(); m != jv.members_end(); ++m) {
-          s.values.emplace_hint(s.values.end(), std::string(m->key),
-                                m->value.as_double());
+          ts.samples.set(row, m->key, m->value.as_double());
         }
-        ts.samples.push_back(std::move(s));
       }
       p.series.push_back(std::move(ts));
     }
@@ -495,43 +588,20 @@ Profile Profile::from_arena(const json::ArenaValue& v) {
 
 std::string Profile::to_binary() const { return encode_binary(*this); }
 
-Profile Profile::from_binary(std::string data) {
-  return from_binary_view(
-      std::make_shared<const sys::StringBlob>(std::move(data)));
-}
-
-Profile Profile::from_binary_view(std::shared_ptr<const sys::Blob> blob) {
-  Profile p = decode_binary(blob->view());
-  p.binary_ = std::move(blob);
-  return p;
+Profile Profile::from_binary(std::string_view data) {
+  return decode_binary(data);
 }
 
 size_t Profile::decoded_bytes() const {
-  // Map nodes dominate; count them with a flat per-node overhead
-  // (key + two doubles-ish + rb-tree pointers) so the cache budget
-  // tracks sample volume rather than pretending to be malloc-exact.
-  constexpr size_t kMapNode = 64;
-  size_t bytes = sizeof(Profile) + command.capacity();
-  for (const auto& t : tags) bytes += sizeof(std::string) + t.capacity();
+  size_t bytes = sizeof(Profile) + heap_bytes_of(command) +
+                 heap_bytes_of(tags) + heap_bytes_of(system.hostname) +
+                 heap_bytes_of(system.cpu_model) +
+                 heap_bytes_of(system.resource_name) + heap_bytes_of(series) +
+                 heap_bytes_of(totals) + heap_bytes_of(derived);
+  for (const auto& t : tags) bytes += heap_bytes_of(t);
   for (const auto& ts : series) {
-    bytes += sizeof(TimeSeries) + ts.watcher.capacity();
-    for (const auto& s : ts.samples) {
-      bytes += sizeof(Sample);
-      for (const auto& [k, v] : s.values) {
-        (void)v;
-        bytes += kMapNode + k.capacity();
-      }
-    }
+    bytes += heap_bytes_of(ts.watcher) + ts.samples.heap_bytes();
   }
-  for (const auto& [k, v] : totals) {
-    (void)v;
-    bytes += kMapNode + k.capacity();
-  }
-  for (const auto& [k, v] : derived) {
-    (void)v;
-    bytes += kMapNode + k.capacity();
-  }
-  if (binary_) bytes += binary_->view().size();
   return bytes;
 }
 

@@ -5,13 +5,21 @@
 // module consumes (paper Fig. 1): static system information, one time
 // series of samples per watcher, integrated totals, and derived metrics.
 // Timestamps are per-watcher and unsynchronised (section 4.1); the
-// combination happens at serialization time, not at sampling time.
+// combination happens at bucketing time, not at sampling time.
+//
+// Each series stores its samples as columns (SampleColumns): one
+// timestamp vector plus, per metric, a value vector and a presence
+// vector — the layout of the SYNB container (binary_codec.hpp) and of
+// the replay's DeltaTable (delta_frame.hpp). Watchers, scenario
+// synthesis and tests author rows as `Sample`s; SYNB decode and the
+// JSON extractors fill the same columns, and encode, export and
+// delta_table() read them. A decoded profile holds no reference to the
+// bytes it was decoded from.
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "json/json.hpp"
@@ -20,25 +28,76 @@ namespace synapse::json {
 class ArenaValue;
 }
 
-namespace synapse::sys {
-class Blob;
-}
-
 namespace synapse::profile {
 
 class DeltaTable;
 
-/// Metric values observed at one sampling instant by one watcher.
+/// Metric values observed at one sampling instant by one watcher — the
+/// authoring type: watchers fill one and append it to a series.
 /// Values are cumulative-so-far where that makes sense (bytes, cycles)
 /// and instantaneous otherwise (resident memory, thread count); the
-/// watcher decides, the emulator consumes per-sample *deltas* computed by
-/// `Profile::sample_deltas`.
+/// watcher decides, the emulator consumes per-period *deltas* computed by
+/// `Profile::delta_table`.
 struct Sample {
   double timestamp = 0.0;  ///< wall-clock seconds (epoch)
   std::map<std::string, double> values;
 
   double get(std::string_view metric, double dflt = 0.0) const;
   void set(std::string_view metric, double value);
+};
+
+/// One metric of one series: the value every sample recorded (0.0 where
+/// a sample recorded none) and whether it recorded one.
+struct MetricColumn {
+  std::string name;
+  std::vector<double> values;    ///< one per sample
+  std::vector<uint8_t> present;  ///< one per sample, 0/1
+};
+
+/// The samples of one series as columns: a timestamp per row and one
+/// MetricColumn per metric, kept sorted by name (the SYNB dictionary
+/// order and the DeltaTable lane order). Every column holds size() rows.
+class SampleColumns {
+ public:
+  /// Append a sample as the next row.
+  void push_back(const Sample& sample);
+  /// Append a row that records no metric yet; returns its index.
+  size_t append_row(double timestamp);
+  void reserve(size_t rows);
+
+  size_t size() const { return timestamps_.size(); }
+  bool empty() const { return timestamps_.empty(); }
+  double timestamp(size_t row) const { return timestamps_[row]; }
+  const std::vector<double>& timestamps() const { return timestamps_; }
+  const std::vector<MetricColumn>& metrics() const { return metrics_; }
+
+  /// Column of a metric; nullptr when the series has none.
+  const MetricColumn* find(std::string_view metric) const;
+  /// Value a row recorded for a metric; `dflt` when it recorded none.
+  double get(size_t row, std::string_view metric, double dflt = 0.0) const;
+
+  // --- column edits -------------------------------------------------------
+  void set_timestamp(size_t row, double timestamp) {
+    timestamps_[row] = timestamp;
+  }
+  /// Record (or overwrite) a metric in one row; adds the column if new.
+  void set(size_t row, std::string_view metric, double value);
+  /// Drop a metric from every row.
+  void erase_metric(std::string_view metric);
+
+  /// Replace the whole table (decoders). `metrics` must be sorted by
+  /// name without duplicates, each column holding timestamps.size() rows.
+  void assign(std::vector<double> timestamps,
+              std::vector<MetricColumn> metrics);
+
+  /// Heap bytes held, allocator chunk overhead included.
+  size_t heap_bytes() const;
+
+ private:
+  MetricColumn& column(std::string_view metric);
+
+  std::vector<double> timestamps_;
+  std::vector<MetricColumn> metrics_;
 };
 
 /// Gate parameters a variable-rate series was recorded under (the
@@ -79,7 +138,7 @@ struct TimeSeries {
   /// deriving a fixed period from the rate.
   bool variable_rate = false;
   SeriesGate gate;  ///< gate the series was recorded under (if any)
-  std::vector<Sample> samples;
+  SampleColumns samples;
 
   bool empty() const { return samples.empty(); }
   size_t size() const { return samples.size(); }
@@ -115,7 +174,7 @@ struct SystemInfo {
 
 /// True for metrics that are instantaneous observations (resident
 /// memory, thread count, ...) rather than cumulative counters: deltas
-/// make no sense for them, so sample_deltas() propagates the
+/// make no sense for them, so delta_table() propagates the
 /// within-period maximum instead, and synthetic-profile builders must
 /// write absolute values rather than running sums.
 bool is_instantaneous_metric(std::string_view metric);
@@ -159,35 +218,26 @@ class Profile {
   size_t sample_count() const;
 
   /// Any series recorded variable-rate (adaptive scheduler)? Such
-  /// profiles bucket sample_deltas() on the recorded timestamps and
-  /// replay paced by the recorded inter-sample gaps.
+  /// profiles bucket on the recorded timestamps and replay paced by the
+  /// recorded inter-sample gaps.
   bool variable_rate() const;
 
-  /// Merge all watcher series into one ordered list of per-period
-  /// consumption deltas — the input to the emulator. Cumulative metrics
-  /// are differenced; instantaneous metrics (listed internally) carry
-  /// their max within the period. For fixed-rate profiles, periods are
-  /// formed on the union of all watcher timestamps, rounded to the
-  /// sampling period, preserving the recorded order across resource
-  /// types (paper Fig. 2/3 semantics). For variable-rate profiles the
-  /// buckets are the recorded timestamps themselves (one bucket per
-  /// distinct instant across watchers) and each delta's duration is the
-  /// recorded gap to the previous bucket.
-  ///
-  /// Profiles decoded via from_binary() keep their SYNB payload and take
-  /// a columnar fast path here (flat array walk, bit-identical result).
-  /// The payload is trusted while `series` still matches its shape and
-  /// timestamps; code that edits sample *values* of a decoded profile in
-  /// place must call drop_binary_payload() first.
-  std::vector<SampleDelta> sample_deltas() const;
-
-  /// sample_deltas() compiled into the columnar DeltaTable
-  /// (delta_frame.hpp): same rows, same durations, cell (lane, row)
-  /// bit-identical to the map entry, presence mirroring key existence.
-  /// Profiles with a retained SYNB payload build the table straight
-  /// from the columns (no per-sample maps); others re-shape the map
-  /// walk's output. This is what the replay engine's frame path feeds.
+  /// Merge all watcher series into one ordered table of per-period
+  /// consumption deltas (delta_frame.hpp) — the input to the emulator.
+  /// Cumulative metrics are differenced; instantaneous metrics (listed
+  /// internally) carry their max within the period. For fixed-rate
+  /// profiles, periods are formed on the union of all watcher
+  /// timestamps, rounded to the sampling period, preserving the
+  /// recorded order across resource types (paper Fig. 2/3 semantics).
+  /// For variable-rate profiles the buckets are the recorded timestamps
+  /// themselves (one bucket per distinct instant across watchers) and
+  /// each row's duration is the recorded gap to the previous bucket.
+  /// Lanes are the sorted union of the series' metric columns.
   DeltaTable delta_table() const;
+
+  /// delta_table() unboxed into one SampleDelta per row (export, tests
+  /// and custom tooling that wants maps).
+  std::vector<SampleDelta> sample_deltas() const;
 
   /// Compute derived metrics (efficiency, utilization, FLOP/s) from
   /// totals + system info, following paper section 4.3 formulas.
@@ -203,31 +253,13 @@ class Profile {
   static Profile from_arena(const json::ArenaValue& v);
 
   /// SYNB binary columnar container (binary_codec.hpp). from_binary
-  /// retains the encoded payload so sample_deltas() can walk columns.
+  /// copies the columns out; the profile keeps no reference to `data`.
   std::string to_binary() const;
-  static Profile from_binary(std::string data);
+  static Profile from_binary(std::string_view data);
 
-  /// from_binary over a shared buffer — no copy of the encoded bytes.
-  /// The profile holds a reference on `blob` for its lifetime, which is
-  /// what lets the files backend decode straight out of an mmap-ed
-  /// .profile.synb (sys::MappedBlob) and keep the mapping alive past a
-  /// concurrent remove() of the file. Throws CodecError like
-  /// from_binary; `blob` must not be null.
-  static Profile from_binary_view(std::shared_ptr<const sys::Blob> blob);
-
-  bool has_binary_payload() const { return binary_ != nullptr; }
-  void drop_binary_payload() { binary_.reset(); }
-
-  /// Rough in-memory footprint (materialized structures + retained
-  /// payload reference) — the unit of the store's decoded-profile cache
-  /// budget. An estimate, not an allocator-exact measure.
+  /// In-memory footprint, allocator chunk overhead included — the unit
+  /// of the store's decoded-profile cache budget.
   size_t decoded_bytes() const;
-
- private:
-  /// SYNB blob this profile was decoded from, if any; shared so Profile
-  /// copies stay cheap-ish and keep the fast path (and, for mapped
-  /// blobs, the mapping) alive.
-  std::shared_ptr<const sys::Blob> binary_;
 };
 
 }  // namespace synapse::profile

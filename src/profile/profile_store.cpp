@@ -54,12 +54,12 @@ struct ProfileStore::Shard {
   std::unique_ptr<StoreBackend> backend;
 
   // In-shard LRU decoded-profile cache: find() results keyed by
-  // command+tags, bounded by an entry count AND a decoded-byte budget.
-  // Guarded by `mutex`; front of the list is most recently used. Each
-  // entry carries the backend's per-workload cache_stamp() at fill time,
-  // so writes from other processes are noticed (backends with a
-  // process-private view keep a constant stamp); in-process writes mark
-  // the entry stale. A stale or mismatched entry is not dropped but
+  // command+tags, bounded by an entry count per shard AND the store-wide
+  // decoded-byte budget. Guarded by `mutex`; front of the list is most
+  // recently used. Each entry carries the backend's per-workload
+  // cache_stamp() at fill time, so writes from other processes are
+  // noticed (backends with a process-private view keep a constant
+  // stamp); in-process writes mark the entry stale. A stale or mismatched entry is not dropped but
   // refreshed: its id -> profile map goes to StoreBackend::refresh(),
   // which can reuse every unchanged decode. Snapshots are immutable and
   // shared: find_shared() hands out the cached one, and a refresh
@@ -78,7 +78,10 @@ struct ProfileStore::Shard {
   uint64_t cache_misses = 0;
   uint64_t cache_invalidations = 0;
   uint64_t decoded = 0;
-  size_t cache_bytes = 0;  ///< sum of CacheEntry::bytes
+  /// The store-wide sum of CacheEntry::bytes, shared by every shard.
+  std::atomic<size_t>* store_bytes = nullptr;
+  /// This shard's part of *store_bytes.
+  size_t own_bytes = 0;
 
   /// Caller holds `mutex`. True when `key` has an entry that no write
   /// of this process made stale: a hit if its stamp still matches.
@@ -112,11 +115,13 @@ struct ProfileStore::Shard {
     return nullptr;
   }
 
-  /// Caller holds `mutex`. `max_bytes` is this shard's slice of the
-  /// store's decoded-byte budget (0 = unbounded); an entry that alone
-  /// exceeds it is not cached at all — a single oversize workload must
-  /// not wipe every other hot entry. Dropped entries move to `evicted`,
-  /// so the caller can free their profiles after unlocking.
+  /// Caller holds `mutex`. `max_bytes` is the store-wide decoded-byte
+  /// budget (0 = unbounded); an entry that alone exceeds it is not
+  /// cached at all — a single oversize workload must not wipe every
+  /// other hot entry. An insert that leaves the store over budget is
+  /// shed by the caller after unlocking (ProfileStore::cache_shed_all).
+  /// Dropped entries move to `evicted`, so the caller can free their
+  /// profiles after unlocking.
   void cache_store(const std::string& key,
                    std::shared_ptr<const ProfileSnapshot> snapshot,
                    DecodedProfiles by_id, uint64_t stamp, size_t capacity,
@@ -130,7 +135,8 @@ struct ProfileStore::Shard {
       return;
     }
     if (it != lru_index.end()) {
-      cache_bytes -= it->second->bytes;
+      *store_bytes -= it->second->bytes;
+      own_bytes -= it->second->bytes;
       it->second->snapshot = std::move(snapshot);
       it->second->by_id = std::move(by_id);
       it->second->stamp = stamp;
@@ -142,9 +148,24 @@ struct ProfileStore::Shard {
                                 stamp, bytes, false});
       lru_index[key] = lru.begin();
     }
-    cache_bytes += bytes;
-    while (lru.size() > capacity ||
-           (max_bytes > 0 && cache_bytes > max_bytes)) {
+    *store_bytes += bytes;
+    own_bytes += bytes;
+    while (lru.size() > capacity) {
+      cache_erase(lru_index.find(lru.back().key), evicted);
+    }
+  }
+
+  /// Caller holds `mutex`. While the store is over `max_bytes`, evicts
+  /// this shard's least recently used entries — but only down to its
+  /// fair share `fair_bytes` (budget / shard count). A shard within its
+  /// share keeps its entries however full the store is, so one shard
+  /// that filled the budget cannot lock the others out of the cache;
+  /// the shards above their share shed instead, and together their
+  /// shares are the budget.
+  void cache_shed(size_t max_bytes, size_t fair_bytes,
+                  std::list<CacheEntry>& evicted) {
+    while (max_bytes > 0 && !lru.empty() && *store_bytes > max_bytes &&
+           own_bytes > fair_bytes) {
       cache_erase(lru_index.find(lru.back().key), evicted);
     }
   }
@@ -162,7 +183,8 @@ struct ProfileStore::Shard {
   void cache_erase(
       std::map<std::string, std::list<CacheEntry>::iterator>::iterator it,
       std::list<CacheEntry>& evicted) {
-    cache_bytes -= it->second->bytes;
+    *store_bytes -= it->second->bytes;
+    own_bytes -= it->second->bytes;
     evicted.splice(evicted.end(), lru, it->second);
     lru_index.erase(it);
   }
@@ -329,9 +351,11 @@ ProfileStore::ProfileStore(ProfileStoreOptions options)
     pool_ = owned_pool_.get();
   }
 
+  cache_bytes_ = std::make_unique<std::atomic<size_t>>(0);
   shards_.reserve(options_.shards);
   for (size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
+    shard->store_bytes = cache_bytes_.get();
     StoreBackendContext context;
     context.directory = options_.directory;
     context.shard_index = i;
@@ -447,6 +471,7 @@ ProfileStore& ProfileStore::operator=(ProfileStore&& other) noexcept {
     pool_ = other.pool_;
     other.pool_ = nullptr;
     shards_ = std::move(other.shards_);
+    cache_bytes_ = std::move(other.cache_bytes_);
     flusher_ = std::move(other.flusher_);
   }
   return *this;
@@ -626,10 +651,6 @@ std::shared_ptr<const ProfileSnapshot> ProfileStore::find_shared(
   const std::string key = index_key(command, tkey);
 
   const bool caching = options_.cache_entries_per_shard > 0;
-  const size_t max_bytes =
-      options_.cache_max_bytes == 0
-          ? 0
-          : std::max<size_t>(1, options_.cache_max_bytes / shards_.size());
 
   std::unique_lock<std::mutex> lock(shard.mutex);
   static const DecodedProfiles kNone;
@@ -674,11 +695,35 @@ std::shared_ptr<const ProfileSnapshot> ProfileStore::find_shared(
   std::shared_ptr<const ProfileSnapshot> out = std::move(snapshot);
   std::list<Shard::CacheEntry> evicted;
   shard.cache_store(key, out, std::move(by_id), stamp,
-                    options_.cache_entries_per_shard, max_bytes, evicted);
+                    options_.cache_entries_per_shard, options_.cache_max_bytes,
+                    evicted);
   // Free evicted decodes outside the lock: other lookups of the shard
   // need not wait for thousands of deallocations.
   lock.unlock();
+  evicted.clear();
+  cache_shed_all(shard);
   return out;
+}
+
+void ProfileStore::cache_shed_all(Shard& inserted) const {
+  const size_t max_bytes = options_.cache_max_bytes;
+  if (max_bytes == 0) return;
+  const size_t fair_bytes = max_bytes / shards_.size();
+  // The other shards above their share shed first, so the new entry
+  // goes only when they cannot make room; one lock at a time, never
+  // two held at once.
+  std::list<Shard::CacheEntry> evicted;
+  const auto shed = [&](Shard& s) {
+    if (cache_bytes_->load() <= max_bytes) return;
+    std::unique_lock<std::mutex> lock(s.mutex);
+    s.cache_shed(max_bytes, fair_bytes, evicted);
+    lock.unlock();
+    evicted.clear();
+  };
+  for (const auto& other : shards_) {
+    if (other.get() != &inserted) shed(*other);
+  }
+  shed(inserted);
 }
 
 std::vector<Profile> ProfileStore::find(
@@ -862,9 +907,10 @@ ProfileStoreCacheStats ProfileStore::cache_stats() const {
     out.hits += shard->cache_hits;
     out.misses += shard->cache_misses;
     out.invalidations += shard->cache_invalidations;
-    out.bytes += shard->cache_bytes;
     out.decoded += shard->decoded;
+    out.unreadable += shard->backend->unreadable();
   }
+  out.bytes = cache_bytes_->load();
   return out;
 }
 
@@ -909,7 +955,11 @@ size_t ProfileStore::convert_all() {
       keys.emplace(e.command, store_tags_key(e.tags));
     }
     for (const auto& [command, tkey] : keys) {
+      const uint64_t skipped = shard.backend->unreadable();
       std::vector<Profile> profiles = shard.backend->read(command, tkey);
+      // read() skips a damaged copy, and remove() would delete it with
+      // the rest: keep such a workload whole for diagnosis instead.
+      if (shard.backend->unreadable() != skipped) continue;
       shard.backend->remove(command, tkey);
       for (const auto& p : profiles) {
         shard.backend->put(p, tkey);

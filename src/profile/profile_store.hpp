@@ -13,13 +13,15 @@
 //
 // Scale model: the store is split into N shards keyed by
 // hash(command, tags_key). Each shard owns its own mutex, its own
-// registry-resolved backend instance and an in-shard LRU read cache,
-// so parallel emulation ranks and watchers can record and query
-// profiles concurrently without serializing on one lock or one
-// docstore file. All public methods are safe to call from multiple
-// threads; a given (command, tags) workload always maps to the same
-// shard, so per-workload ordering guarantees are preserved.
+// registry-resolved backend instance and an in-shard LRU read cache
+// (the caches share one store-wide byte budget), so parallel emulation
+// ranks and watchers can record and query profiles concurrently
+// without serializing on one lock or one docstore file. All public
+// methods are safe to call from multiple threads; a given (command,
+// tags) workload always maps to the same shard, so per-workload
+// ordering guarantees are preserved.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -76,11 +78,14 @@ struct ProfileStoreOptions {
   std::string format;
   size_t shards = 8;                   ///< clamped to >= 1
   size_t cache_entries_per_shard = 16; ///< LRU find() cache; 0 disables
-  /// Byte budget for the decoded-profile cache, split evenly across
-  /// shards (each cached entry is charged its Profile::decoded_bytes()
-  /// sum). 0 = no byte bound (the entry count alone bounds the cache);
-  /// an entry larger than a whole shard's budget is served but not
-  /// cached.
+  /// Store-wide byte budget for the decoded-profile cache (each cached
+  /// entry is charged its Profile::decoded_bytes() sum). A shard may
+  /// hold most of the budget while the others are light; once the store
+  /// total is over it, the shards above their fair share (budget /
+  /// shards) evict their least recently used entries, and a shard within
+  /// its share is never evicted for bytes. 0 = no byte bound (the entry
+  /// count alone bounds the cache); an entry larger than the whole
+  /// budget is served but not cached.
   size_t cache_max_bytes = 64 * 1024 * 1024;
   /// Worker threads for cross-shard operations (put_many, list,
   /// convert_all, flush): 0 = share the process-wide sys::TaskPool,
@@ -100,6 +105,9 @@ struct ProfileStoreCacheStats {
   uint64_t invalidations = 0;  ///< cache entries made stale by writes
   uint64_t bytes = 0;          ///< decoded bytes currently cached
   uint64_t decoded = 0;        ///< profiles decoded by store reads
+  /// Stored copies reads skipped because they could not be decoded
+  /// (counted per read; StoreBackend::unreadable()).
+  uint64_t unreadable = 0;
 };
 
 /// One workload's stored repetitions ordered by created_at. The
@@ -222,7 +230,9 @@ class ProfileStore {
   /// ProfileStoreOptions::format to pick the target encoding; profiles
   /// already in that encoding are rewritten too (idempotent, cheap
   /// relative to the conversion). Backends without list() support are
-  /// skipped.
+  /// skipped. A workload with a stored copy that cannot be decoded
+  /// (StoreBackend::unreadable() grows while reading it) is left as it
+  /// is, damaged file included, and not counted.
   size_t convert_all();
 
   size_t size() const;
@@ -248,6 +258,10 @@ class ProfileStore {
 
   /// `tkey` is the profile's tags_key(), computed once by the caller.
   Shard& shard_for(const std::string& command, const std::string& tkey) const;
+  /// While the store is over cache_max_bytes, has every shard above its
+  /// fair share (budget / shard count) shed down to it: the others
+  /// first, `inserted` (whose insert took the store over) last.
+  void cache_shed_all(Shard& inserted) const;
   /// Run body(i) for i in [0, count) — on the store's task pool when it
   /// has one (options_.threads != 1), serially inline otherwise. Every
   /// cross-shard operation goes through here; bodies lock at most one
@@ -285,6 +299,9 @@ class ProfileStore {
   /// nullptr for serial (threads == 1).
   sys::TaskPool* pool_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Decoded bytes cached across all shards — what cache_max_bytes
+  /// bounds. On the heap so the shards' pointer survives store moves.
+  std::unique_ptr<std::atomic<size_t>> cache_bytes_;
   std::unique_ptr<Flusher> flusher_;
 };
 

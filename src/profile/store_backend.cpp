@@ -96,20 +96,9 @@ using storedetail::has_profile_suffix;
 using storedetail::sanitize;
 using storedetail::unique_tmp_suffix;
 
-/// Decode stored profile bytes in either format: SYNB by magic sniff,
-/// otherwise JSON through the arena parser (no per-node heap traffic;
-/// `arena` is reset and reused here so multi-file reads recycle slabs).
-Profile parse_profile_bytes(std::string&& data, json::Arena& arena) {
-  if (looks_like_binary_profile(data)) {
-    return Profile::from_binary(std::move(data));
-  }
-  arena.reset();
-  return Profile::from_arena(json::parse(data, arena));
-}
-
 /// Open one stored profile file as a shared read-only buffer. SYNB
 /// files are mmap-ed when possible (`prefer_mmap`, decided from the
-/// file suffix) so decode is zero-copy against the page cache; JSON
+/// file suffix) so decode reads the page cache without a copy; JSON
 /// files and mmap failures (ENOENT from a racing remove(), mmap-less
 /// filesystems) fall back to a buffered slurp. nullptr when the file
 /// vanished entirely.
@@ -123,16 +112,14 @@ std::shared_ptr<const sys::Blob> load_profile_blob(const std::string& path,
   return std::make_shared<const sys::StringBlob>(std::move(*data));
 }
 
-/// parse_profile_bytes over a shared buffer: the SYNB path hands the
-/// buffer itself to the profile (zero-copy, keeps an mmap alive for the
-/// profile's lifetime), the JSON path parses out of it by view.
-Profile parse_profile_blob(std::shared_ptr<const sys::Blob> blob,
-                           json::Arena& arena) {
-  if (looks_like_binary_profile(blob->view())) {
-    return Profile::from_binary_view(std::move(blob));
-  }
+/// Decode stored profile bytes in either format: SYNB by magic sniff,
+/// otherwise JSON through the arena parser (`arena` is reset and reused
+/// so multi-file reads recycle slabs). The profile copies what it needs,
+/// so the caller may release `data` (and its mapping) right after.
+Profile parse_profile(std::string_view data, json::Arena& arena) {
+  if (looks_like_binary_profile(data)) return Profile::from_binary(data);
   arena.reset();
-  return Profile::from_arena(json::parse(blob->view(), arena));
+  return Profile::from_arena(json::parse(data, arena));
 }
 
 // --- memory ---------------------------------------------------------------
@@ -340,6 +327,8 @@ class FilesBackend : public StoreBackend {
     return json::Value(std::move(meta));
   }
 
+  uint64_t unreadable() const override { return unreadable_; }
+
   std::vector<StoredProfileEntry> list() const override {
     std::vector<StoredProfileEntry> out;
     DIR* dir = ::opendir(directory_.c_str());
@@ -501,17 +490,29 @@ class FilesBackend : public StoreBackend {
     return token ? storedetail::fnv1a(*token) : 0;
   }
 
-  /// Decode one profile file; nullopt when it vanished (racing remove())
-  /// or holds another workload whose sanitized name collides.
+  /// Decode one profile file; nullopt when it vanished (racing remove()),
+  /// holds another workload whose sanitized name collides, or cannot be
+  /// decoded. A damaged file (empty, truncated, garbage) costs only its
+  /// own profile: it is skipped and counted, and the rest of the
+  /// workload still reads.
   std::optional<Profile> decode_file(const std::string& name,
                                      const std::string& command,
                                      const std::string& tkey,
                                      json::Arena& arena) const {
-    auto blob = load_profile_blob(directory_ + "/" + name,
-                                  has_binary_profile_suffix(name));
+    const auto blob = load_profile_blob(directory_ + "/" + name,
+                                        has_binary_profile_suffix(name));
     if (!blob) return std::nullopt;
-    Profile p = parse_profile_blob(std::move(blob), arena);
-    if (p.command != command || store_tags_key(p.tags) != tkey) {
+    std::optional<Profile> p;
+    try {
+      p = parse_profile(blob->view(), arena);
+    } catch (const CodecError&) {
+      ++unreadable_;
+      return std::nullopt;
+    } catch (const json::JsonError&) {
+      ++unreadable_;
+      return std::nullopt;
+    }
+    if (p->command != command || store_tags_key(p->tags) != tkey) {
       return std::nullopt;
     }
     return p;
@@ -522,6 +523,8 @@ class FilesBackend : public StoreBackend {
   /// Next sequence number put() tries per workload prefix; seeded by one
   /// readdir on the workload's first put through this instance.
   std::map<std::string, size_t> next_seq_;
+  /// Files read() / refresh() skipped as undecodable.
+  mutable uint64_t unreadable_ = 0;
 };
 
 }  // namespace

@@ -125,6 +125,11 @@ class StoreBackend {
     return 0;
   }
 
+  /// Stored copies read() / refresh() skipped so far because they could
+  /// not be decoded (a damaged file costs its own profile, never the
+  /// whole workload). Default: 0 (backends that never skip).
+  virtual uint64_t unreadable() const { return 0; }
+
   /// Backend-specific description of this shard (diagnostics /
   /// synapse-inspect): e.g. the cluster backend reports the docstore
   /// instance the shard is placed on. Default: empty object.

@@ -1,14 +1,13 @@
 #pragma once
 // Shared immutable byte buffers, including mmap-backed ones.
 //
-// Profile::from_binary_view() decodes SYNB blobs straight out of a
-// Blob, and the files store backend maps .profile.synb files instead
-// of copying them through a std::string — the columnar decode views
-// (binary_codec.hpp) then read directly from the page cache with zero
-// copies. Blobs are reference counted (held by shared_ptr), so a
-// decoded Profile keeps its mapping alive for as long as the columnar
-// fast path may touch it — including past an unlink() of the file
-// (POSIX keeps mapped pages until the last munmap).
+// The files store backend maps .profile.synb files instead of copying
+// them through a std::string; Profile::from_binary then copies the
+// columns straight out of the page cache, and the mapping is released
+// as soon as the decode returns. Blobs are reference counted (held by
+// shared_ptr), so a mapping stays valid for as long as a reader holds
+// it — including past an unlink() of the file (POSIX keeps mapped pages
+// until the last munmap).
 //
 // Mapping a file that a writer later TRUNCATES would raise SIGBUS on
 // access; the store's profile files are immutable once link()-claimed

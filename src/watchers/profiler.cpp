@@ -254,7 +254,7 @@ profile::Profile Profiler::run(sys::ChildProcess child,
     ts.sample_rate_hz = config.rate_for(w->name());
     if (adaptive_mode) {
       // Gated series are variable-rate: timestamps, not the nominal
-      // rate, are the source of truth downstream (sample_deltas
+      // rate, are the source of truth downstream (delta_table()
       // switches to timestamp bucketing, replay paces by recorded
       // gaps). The resolved gate rides along as series metadata and
       // the nominal rate records the burst rate.
@@ -267,10 +267,8 @@ profile::Profile Profiler::run(sys::ChildProcess child,
       if (gate.burst_hz > 0) ts.sample_rate_hz = gate.burst_hz;
     }
     if (trace_has_counters && ts.watcher == "cpu") {
-      for (auto& s : ts.samples) {
-        s.values.erase(std::string(m::kCyclesUsed));
-        s.values.erase(std::string(m::kInstructions));
-      }
+      ts.samples.erase_metric(m::kCyclesUsed);
+      ts.samples.erase_metric(m::kInstructions);
     }
     p.series.push_back(std::move(ts));
   }

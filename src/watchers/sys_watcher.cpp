@@ -34,9 +34,10 @@ void SysWatcher::finalize(const std::vector<const Watcher*>& all,
   // Load is an ambient observation; store the run average.
   double sum = 0.0;
   size_t n = 0;
-  for (const auto& s : series_.samples) {
-    if (s.values.count(std::string(m::kLoadCpu)) > 0) {
-      sum += s.get(m::kLoadCpu);
+  if (const profile::MetricColumn* load = series_.samples.find(m::kLoadCpu)) {
+    for (size_t row = 0; row < series_.samples.size(); ++row) {
+      if (load->present[row] == 0) continue;
+      sum += load->values[row];
       ++n;
     }
   }

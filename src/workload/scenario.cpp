@@ -34,7 +34,7 @@ double require_number(const json::Value& v, const std::string& key,
 
 /// Watcher bucket for a metric: the prefix before the first '.'
 /// ("compute.cycles_used" -> "compute"). Synthetic series are grouped
-/// per watcher like real profiles; sample_deltas() merges them on the
+/// per watcher like real profiles; delta_table() merges them on the
 /// common time origin either way.
 std::string watcher_of(const std::string& metric) {
   const auto dot = metric.find('.');
@@ -135,16 +135,12 @@ profile::Profile ScenarioSpec::make_profile() const {
     for (const auto& [metric, per_sample] : source.deltas) {
       auto& series = by_watcher[watcher_of(metric)];
       if (series.watcher.empty()) series.watcher = watcher_of(metric);
-      if (series.samples.size() <= i) {
-        profile::Sample s;
-        s.timestamp = timestamp;
-        series.samples.push_back(std::move(s));
-      }
+      if (series.samples.size() <= i) series.samples.append_row(timestamp);
       if (profile::is_instantaneous_metric(metric)) {
-        series.samples[i].set(metric, per_sample);
+        series.samples.set(i, metric, per_sample);
       } else {
         cumulative[metric] += per_sample;
-        series.samples[i].set(metric, cumulative[metric]);
+        series.samples.set(i, metric, cumulative[metric]);
       }
     }
   }

@@ -68,7 +68,7 @@ inline profile::Profile variable_rate_variant(profile::Profile p) {
     series.sample_rate_hz = 100.0;
     double t = 100.0;
     for (size_t i = 0; i < series.samples.size(); ++i) {
-      series.samples[i].timestamp = t;
+      series.samples.set_timestamp(i, t);
       t += kGaps[(i + j) % 4];
     }
   }

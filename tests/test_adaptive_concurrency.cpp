@@ -90,7 +90,7 @@ TEST(AdaptiveGateConcurrency, WorkloadThreadsDriveGatesRaceFree) {
     // its own series.
     ASSERT_GE(ts.size(), 2u) << w->name();
     for (size_t i = 1; i < ts.samples.size(); ++i) {
-      EXPECT_LE(ts.samples[i - 1].timestamp, ts.samples[i].timestamp)
+      EXPECT_LE(ts.samples.timestamp(i - 1), ts.samples.timestamp(i))
           << w->name();
     }
   }

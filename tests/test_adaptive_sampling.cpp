@@ -60,7 +60,7 @@ class PulseWatcher final : public watchers::Watcher {
 std::vector<double> gaps_of(const synapse::profile::TimeSeries& ts) {
   std::vector<double> gaps;
   for (size_t i = 1; i < ts.samples.size(); ++i) {
-    gaps.push_back(ts.samples[i].timestamp - ts.samples[i - 1].timestamp);
+    gaps.push_back(ts.samples.timestamp(i) - ts.samples.timestamp(i - 1));
   }
   return gaps;
 }
@@ -196,8 +196,8 @@ TEST(AdaptiveScheduler, EdgeReopensGateAndBurstIsDenselySampled) {
   // Dense burst coverage: several samples landed inside the active
   // window at (near-)burst spacing.
   size_t in_burst = 0;
-  for (const auto& s : ts.samples) {
-    if (s.timestamp >= burst_start && s.timestamp <= deadline) ++in_burst;
+  for (const double t : ts.samples.timestamps()) {
+    if (t >= burst_start && t <= deadline) ++in_burst;
   }
   EXPECT_GE(in_burst, 5u);
   // ...while the total stays adaptive: well under 100 Hz * ~0.9 s.

@@ -100,8 +100,8 @@ std::vector<profile::Profile> fixture_profiles() {
 }
 
 /// Replay-input equality, bitwise: same buckets, same metrics, same
-/// double bits (the decoded fast path must be indistinguishable from
-/// the map walk).
+/// double bits (a decoded profile must be indistinguishable from the
+/// profile it was encoded from).
 void expect_same_deltas(const std::vector<profile::SampleDelta>& a,
                         const std::vector<profile::SampleDelta>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -133,13 +133,16 @@ TEST(BinaryCodec, RoundTripIsLosslessAcrossCatalog) {
   }
 }
 
-TEST(BinaryCodec, ColumnarDeltasMatchMapWalkBitForBit) {
+TEST(BinaryCodec, DecodedDeltasMatchAuthoredBitForBit) {
   for (const auto& p : fixture_profiles()) {
     const profile::Profile decoded =
         profile::Profile::from_binary(p.to_binary());
-    ASSERT_TRUE(decoded.has_binary_payload());
-    // `p` has no payload -> map walk; `decoded` -> columnar fast path.
+    // `p` was authored sample by sample, `decoded` filled its columns
+    // from SYNB: the bucketing kernel must not tell them apart.
     expect_same_deltas(decoded.sample_deltas(), p.sample_deltas());
+    EXPECT_EQ(decoded.delta_table().lanes().names(),
+              p.delta_table().lanes().names())
+        << p.command;
   }
 }
 
@@ -160,13 +163,42 @@ TEST(BinaryCodec, V2CarriesVariableRateAndGateMetadata) {
   EXPECT_TRUE(back.variable_rate());
 }
 
-TEST(BinaryCodec, DropBinaryPayloadFallsBackToMapWalk) {
+TEST(BinaryCodec, ColumnEditsOfDecodedProfileReachDeltas) {
+  // A decoded profile keeps no encoded payload that could shadow its
+  // columns: an in-place edit shows up in the deltas and the re-encode.
   const profile::Profile src = fixture_profiles().back();
   profile::Profile decoded = profile::Profile::from_binary(src.to_binary());
-  const auto fast = decoded.sample_deltas();
-  decoded.drop_binary_payload();
-  EXPECT_FALSE(decoded.has_binary_payload());
-  expect_same_deltas(decoded.sample_deltas(), fast);
+  auto& cpu = decoded.series[0].samples;
+  ASSERT_EQ(cpu.size(), 7u);
+  cpu.set(6, "cycles_used", cpu.get(6, "cycles_used") + 5e5);
+  const auto deltas = decoded.sample_deltas();
+  ASSERT_FALSE(deltas.empty());
+  EXPECT_DOUBLE_EQ(deltas.back().get("cycles_used"), 1.5e6);
+  EXPECT_NE(decoded.to_binary(), src.to_binary());
+  expect_same_deltas(
+      profile::Profile::from_binary(decoded.to_binary()).sample_deltas(),
+      deltas);
+}
+
+TEST(BinaryCodec, UnsortedMetricDictionaryRejected) {
+  profile::Profile p;
+  p.command = "dict";
+  profile::TimeSeries ts;
+  ts.watcher = "cpu";
+  profile::Sample s;
+  s.set("aa_metric", 1.0);
+  s.set("bb_metric", 2.0);
+  ts.samples.push_back(s);
+  p.series.push_back(std::move(ts));
+  std::string blob = p.to_binary();
+  // Swap the two dictionary names in place: same framing, wrong order.
+  const size_t a = blob.find("aa_metric");
+  const size_t b = blob.find("bb_metric");
+  ASSERT_NE(a, std::string::npos);
+  ASSERT_NE(b, std::string::npos);
+  blob.replace(a, 9, "bb_metric");
+  blob.replace(b, 9, "aa_metric");
+  EXPECT_THROW(profile::decode_binary(blob), CodecError);
 }
 
 TEST(BinaryCodec, BinaryIsAtMostHalfOfCompactJsonOnCatalog) {

@@ -147,10 +147,9 @@ TEST(DeltaTable, UnboxMatchesSampleDeltasOnFixedRateProfile) {
 }
 
 TEST(DeltaTable, UnboxMatchesSampleDeltasOnBinaryPayload) {
-  // from_binary keeps the SYNB payload, so delta_table() takes the
-  // zero-copy columnar route; cells must still match the map walk.
+  // A SYNB-decoded profile: the kernel reads columns the decoder
+  // filled; unboxed rows must still match sample_deltas().
   auto p = profile::Profile::from_binary(fixed_profile(6).to_binary());
-  ASSERT_TRUE(p.has_binary_payload());
   const auto deltas = p.sample_deltas();
   const auto table = p.delta_table();
   ASSERT_EQ(table.rows(), deltas.size());

@@ -1,5 +1,5 @@
-// ProfileStore's parallel cross-shard operations, the decoded-profile
-// byte budget, the mmap zero-copy read path and its lifetime
+// ProfileStore's parallel cross-shard operations, the store-wide
+// decoded-profile byte budget, and the mmap read path and its lifetime
 // guarantees.
 
 #include <gtest/gtest.h>
@@ -18,10 +18,12 @@
 #include "profile/binary_codec.hpp"
 #include "profile/metrics.hpp"
 #include "profile/profile_store.hpp"
+#include "profile/store_backend.hpp"
 #include "sys/mmap_file.hpp"
 #include "workload/scenario.hpp"
 
 namespace profile = synapse::profile;
+namespace storedetail = synapse::profile::storedetail;
 namespace sys = synapse::sys;
 namespace m = synapse::metrics;
 
@@ -70,10 +72,10 @@ bool deltas_equal(const std::vector<profile::SampleDelta>& a,
 // --- mmap zero-copy decode --------------------------------------------------
 
 TEST(MmapProfileDecode, BitIdenticalToBufferedAcrossBuiltinCatalog) {
-  // Every builtin scenario profile, encoded once, decoded twice: through
+  // Every builtin scenario profile, encoded once, decoded twice: out of
   // an mmap-backed Blob (the files backend's read path for *.synb) and
-  // through the buffered from_binary path. Identical JSON projections
-  // and identical sample_deltas — bit for bit.
+  // out of a heap buffer. Identical JSON projections and identical
+  // sample_deltas — bit for bit.
   const std::string path =
       "/tmp/synapse_mmap_catalog_" + std::to_string(::getpid()) +
       ".profile.synb";
@@ -86,7 +88,8 @@ TEST(MmapProfileDecode, BitIdenticalToBufferedAcrossBuiltinCatalog) {
     }
     auto mapped = sys::MappedBlob::map(path);
     ASSERT_NE(mapped, nullptr) << spec.name;
-    const profile::Profile via_mmap = profile::Profile::from_binary_view(mapped);
+    const profile::Profile via_mmap =
+        profile::Profile::from_binary(mapped->view());
     const profile::Profile via_buffer = profile::Profile::from_binary(encoded);
 
     EXPECT_EQ(synapse::json::dump(via_mmap.to_json()),
@@ -95,15 +98,14 @@ TEST(MmapProfileDecode, BitIdenticalToBufferedAcrossBuiltinCatalog) {
     EXPECT_TRUE(deltas_equal(via_mmap.sample_deltas(),
                              via_buffer.sample_deltas()))
         << spec.name;
-    EXPECT_TRUE(via_mmap.has_binary_payload());
   }
   ::unlink(path.c_str());
 }
 
 TEST(MmapProfileDecode, DecodedProfileOutlivesFileDeletion) {
-  // The files backend serves *.synb reads straight from an mmap; a
-  // decoded Profile must keep that mapping (and with it the columnar
-  // fast path) alive past a concurrent remove() of the file.
+  // The files backend decodes *.synb reads straight out of an mmap; the
+  // decoded Profile owns copies of its columns, so it stays whole past
+  // a remove() of the file and the unmapping of its bytes.
   const std::string dir = fresh_dir("mmap_lifetime");
   profile::ProfileStoreOptions options;
   options.backend = "files";
@@ -115,16 +117,17 @@ TEST(MmapProfileDecode, DecodedProfileOutlivesFileDeletion) {
 
   const auto held = store.find_latest_shared("held-cmd", {"x"});
   ASSERT_NE(held, nullptr);
-  ASSERT_TRUE(held->has_binary_payload());
+  const std::string encoded = held->to_binary();
   const auto before = held->sample_deltas();
 
   EXPECT_EQ(store.remove("held-cmd", {"x"}), 1u);
   EXPECT_TRUE(store.find("held-cmd", {"x"}).empty());
 
-  // The store no longer has the profile; the held snapshot still decodes
-  // (POSIX keeps mapped pages until the last munmap).
+  // The store no longer has the profile; the held snapshot is intact.
   EXPECT_EQ(held->command, "held-cmd");
+  EXPECT_EQ(held->sample_count(), 64u);
   EXPECT_TRUE(deltas_equal(held->sample_deltas(), before));
+  EXPECT_EQ(held->to_binary(), encoded);
   std::system(("rm -rf " + dir).c_str());
 }
 
@@ -254,7 +257,7 @@ TEST(ProfileStoreCache, ReportsCachedBytes) {
 
 TEST(ProfileStoreCache, ByteBudgetBoundsTheCache) {
   profile::ProfileStoreOptions options;
-  options.shards = 1;  // budget == cache_max_bytes exactly
+  options.shards = 1;
   options.cache_entries_per_shard = 64;
   options.cache_max_bytes = 64 * 1024;
   profile::ProfileStore store(options);
@@ -280,6 +283,90 @@ TEST(ProfileStoreCache, OversizeEntryIsServedButNotCached) {
   // Repeat reads keep missing (never cached), but stay correct.
   EXPECT_EQ(store.find("big").size(), 1u);
   EXPECT_EQ(store.cache_stats().hits, 0u);
+}
+
+TEST(ProfileStoreCache, BudgetIsStoreWideNotSplitAcrossShards) {
+  // One workload worth half the budget: an even split across 8 shards
+  // would leave its shard an eighth and never cache it; the store-wide
+  // budget does.
+  const profile::Profile big = make_profile("big", {}, 1.0, 256);
+  profile::ProfileStoreOptions options;
+  options.shards = 8;
+  options.cache_max_bytes = 2 * big.decoded_bytes();
+  profile::ProfileStore store(options);
+  store.put(big);
+  EXPECT_EQ(store.find("big").size(), 1u);
+  EXPECT_EQ(store.find("big").size(), 1u);
+  EXPECT_EQ(store.cache_stats().hits, 1u);
+  EXPECT_GT(store.cache_stats().bytes, options.cache_max_bytes / 8);
+
+  // Across shards the total stays within the one budget.
+  for (int i = 0; i < 40; ++i) {
+    store.put(make_profile("cmd-" + std::to_string(i), {}, i, 64));
+  }
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(store.find("cmd-" + std::to_string(i)).size(), 1u);
+  }
+  EXPECT_GT(store.cache_stats().bytes, 0u);
+  EXPECT_LE(store.cache_stats().bytes, options.cache_max_bytes);
+}
+
+TEST(ProfileStoreCache, ShardWithinItsShareKeepsHitsWhenAnotherFilledTheBudget) {
+  // Two workloads on different shards: "hog" holds nearly the whole
+  // budget, "light" needs less than a shard's fair share. Caching
+  // "light" takes the store over budget; the hog sheds, not "light".
+  profile::ProfileStoreOptions options;
+  options.shards = 8;
+  const auto shard_of = [&](const std::string& command) {
+    return storedetail::fnv1a(command + '\x1f' +
+                              profile::ProfileStore::tags_key({})) %
+           options.shards;
+  };
+  std::string light = "light";
+  for (int i = 0; shard_of(light) == shard_of("hog"); ++i) {
+    light = "light-" + std::to_string(i);
+  }
+  const profile::Profile hog = make_profile("hog", {}, 1.0, 2048);
+  const profile::Profile small = make_profile(light, {}, 2.0, 4);
+  options.cache_max_bytes = hog.decoded_bytes() + small.decoded_bytes() / 2;
+  ASSERT_LT(small.decoded_bytes(), options.cache_max_bytes / options.shards);
+  profile::ProfileStore store(options);
+  store.put(hog);
+  store.put(small);
+  ASSERT_EQ(store.find("hog").size(), 1u);
+  EXPECT_EQ(store.cache_stats().bytes, hog.decoded_bytes());
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(store.find(light).size(), 1u);
+  // One miss fills "light"; the next three hit.
+  EXPECT_EQ(store.cache_stats().hits, 3u);
+  EXPECT_EQ(store.cache_stats().bytes, small.decoded_bytes());
+  EXPECT_LE(store.cache_stats().bytes, options.cache_max_bytes);
+}
+
+TEST(ProfileStoreCache, EntryAboveAFairShareDisplacesTheHogNotItself) {
+  // "mid" needs more than a shard's fair share but fits the budget once
+  // the hog, also above its share, sheds: the hog goes, "mid" stays.
+  profile::ProfileStoreOptions options;
+  options.shards = 8;
+  const auto shard_of = [&](const std::string& command) {
+    return storedetail::fnv1a(command + '\x1f' +
+                              profile::ProfileStore::tags_key({})) %
+           options.shards;
+  };
+  std::string mid = "mid";
+  for (int i = 0; shard_of(mid) == shard_of("hog"); ++i) {
+    mid = "mid-" + std::to_string(i);
+  }
+  const profile::Profile hog = make_profile("hog", {}, 1.0, 1024);
+  const profile::Profile middle = make_profile(mid, {}, 2.0, 512);
+  options.cache_max_bytes = hog.decoded_bytes() + middle.decoded_bytes() / 2;
+  ASSERT_GT(middle.decoded_bytes(), options.cache_max_bytes / options.shards);
+  profile::ProfileStore store(options);
+  store.put(hog);
+  store.put(middle);
+  ASSERT_EQ(store.find("hog").size(), 1u);
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(store.find(mid).size(), 1u);
+  EXPECT_EQ(store.cache_stats().hits, 3u);
+  EXPECT_EQ(store.cache_stats().bytes, middle.decoded_bytes());
 }
 
 TEST(ProfileStoreCache, SharedSnapshotIsStableAcrossLaterWrites) {
